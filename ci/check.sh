@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Full verification sweep, four trees:
-#   1. release            — the complete ctest suite
-#   2. ASan/UBSan         — the complete suite under address+UB sanitizers
+#   1. release            — the complete ctest suite, the socket smoke and
+#      the loopback benchmark's gates (loopbench/smoke_test.py)
+#   2. ASan/UBSan         — the complete suite under address+UB sanitizers;
+#      UBSan is non-recoverable, so any report fails the tree
 #   3. release, forced-scalar crypto (MAPSEC_FORCE_SCALAR=1) — portable
 #      kernels stay green where the dispatcher would otherwise hide them
 #      (the sanitizer tree covers the accelerated path)
@@ -36,6 +38,19 @@ echo "== socket smoke (real loopback TCP) =="
 if ./build/bench/bench_socket_load_gen --probe; then
   ctest --test-dir build --output-on-failure -j "${JOBS}" \
     -R 'SocketFleetTest|SocketBearer'
+else
+  echo "SKIP: loopback sockets unavailable in this sandbox"
+fi
+
+echo "== loopback benchmark gates (loopbench smoke test) =="
+# The session benchmark's own correctness gates on short runs of the
+# paper's default suite: byte-exact echoes, conserved server books and the
+# fleet transcript digest, which must equal the digest earlier runs of the
+# same workload and seed recorded in .bench_out/digests/. A faster crypto
+# or transport path can then never silently mean a different one. Same
+# loopback probe and visible SKIP as the socket smoke stage.
+if ./build/bench/bench_socket_load_gen --probe; then
+  python3 loopbench/smoke_test.py
 else
   echo "SKIP: loopback sockets unavailable in this sandbox"
 fi

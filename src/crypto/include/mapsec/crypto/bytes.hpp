@@ -7,6 +7,7 @@
 // load/store helpers so the wire formats are unambiguous.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <cstddef>
 #include <span>
@@ -92,12 +93,14 @@ constexpr void store_le64(std::uint8_t* p, std::uint64_t v) {
   store_le32(p + 4, static_cast<std::uint32_t>(v >> 32));
 }
 
+// std::rotl/std::rotr take the count mod 32, so n == 0 is defined (the
+// open-coded `x >> (32 - n)` shifted by the full width there).
 constexpr std::uint32_t rotl32(std::uint32_t x, unsigned n) {
-  return (x << n) | (x >> (32 - n));
+  return std::rotl(x, static_cast<int>(n));
 }
 
 constexpr std::uint32_t rotr32(std::uint32_t x, unsigned n) {
-  return (x >> n) | (x << (32 - n));
+  return std::rotr(x, static_cast<int>(n));
 }
 
 /// FNV-1a over a byte string; the hash functor for every hashed

@@ -3,10 +3,20 @@
 // authentication"; DES/3DES are also the bit-permutation-heavy ciphers that
 // motivate the ISA-extension discussion in Section 4.2.1.
 //
-// The `des_detail` namespace deliberately exposes the round structure
-// (key schedule, expansion, S-boxes, permutations): the attack::dpa module
-// targets the round-1 S-box outputs of this exact implementation, which is
-// how differential power analysis is mounted against a real device.
+// Two implementations of the same round live here:
+//
+//   * `Des` / `Des3` run a word-oriented round (des.cpp): swap-move IP/FP,
+//     E as shift-and-mask extractions against round keys stored pre-split
+//     into 6-bit chunks, and S-then-P as two lookups per S-box into rows of
+//     one 64-byte cache line each (DesSboxRow, DesSpreadRow). `Des3` runs
+//     EDE as one IP, 48 rounds and one FP.
+//   * The `des_detail` namespace is the bit-serial reference: it
+//     deliberately exposes the round structure (key schedule, expansion,
+//     S-boxes, permutations) one FIPS table at a time. The attack::dpa
+//     module targets the round-1 S-box outputs of this exact structure,
+//     which is how differential power analysis is mounted against a real
+//     device, and the tests use it as the oracle the fast core must match
+//     bit for bit.
 #pragma once
 
 #include <array>
@@ -64,6 +74,19 @@ Bytes key_from_round1_subkey(std::uint64_t subkey48, std::uint8_t missing8);
 
 }  // namespace des_detail
 
+/// A lookup row of the word-oriented round: one S-box indexed by its raw
+/// 6-bit input. Indices are key- and data-dependent, so a row is exactly
+/// one cache line and a lookup touches no line that depends on the index.
+struct alignas(64) DesSboxRow {
+  std::uint8_t out[64];
+};
+
+/// A lookup row of the word-oriented round: permutation P applied to each
+/// 4-bit output of one S-box, placed in that S-box's nibble. One cache line.
+struct alignas(64) DesSpreadRow {
+  std::uint32_t word[16];
+};
+
 /// Single DES over 8-byte blocks. Kept available (despite its 56-bit key)
 /// because SSL 3.0 export suites and the paper's cipher inventory include
 /// it; prefer Des3 in new designs.
@@ -77,11 +100,26 @@ class Des {
   void encrypt_block(const std::uint8_t* in, std::uint8_t* out) const;
   void decrypt_block(const std::uint8_t* in, std::uint8_t* out) const;
 
-  const des_detail::KeySchedule& schedule() const { return enc_; }
+  /// The encryption subkeys in des_detail::key_schedule form.
+  des_detail::KeySchedule schedule() const;
 
  private:
-  des_detail::KeySchedule enc_;
-  des_detail::KeySchedule dec_;
+  friend class Des3;
+
+  /// One round subkey split into its eight 6-bit chunks, one per byte, in
+  /// the bit positions where the round's E extraction leaves them: S1, S3,
+  /// S5, S7 from the top byte down in `s1357`, S2, S4, S6, S8 in `s2468`.
+  struct RoundKey {
+    std::uint32_t s1357;
+    std::uint32_t s2468;
+  };
+
+  /// The 16 rounds on IP'd halves (L0, R0), ending with the half swap, so
+  /// (l, r) leave as the FP input -- or as the next DES's IP output.
+  template <bool Decrypt>
+  void rounds(std::uint32_t& l, std::uint32_t& r) const;
+
+  std::array<RoundKey, 16> rk_;
 };
 
 /// Triple-DES EDE. Accepts a 24-byte key (3-key) or a 16-byte key

@@ -1,6 +1,7 @@
 #include "mapsec/crypto/des.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 namespace mapsec::crypto {
 
@@ -82,7 +83,8 @@ constexpr std::uint8_t kSbox[8][64] = {
 // Generic bit permutation: `table[i]` selects the table[i]-th bit
 // (1 = MSB of an `in_bits`-wide value) for output bit i (MSB first).
 template <int OutBits>
-std::uint64_t permute(std::uint64_t in, const int* table, int in_bits) {
+constexpr std::uint64_t permute(std::uint64_t in, const int* table,
+                                int in_bits) {
   std::uint64_t out = 0;
   for (int i = 0; i < OutBits; ++i) {
     const int src = table[i];
@@ -212,32 +214,157 @@ Bytes key_from_round1_subkey(std::uint64_t subkey48, std::uint8_t missing8) {
 
 namespace {
 
-std::uint64_t des_rounds(std::uint64_t block,
-                         const des_detail::KeySchedule& ks) {
-  block = des_detail::initial_permutation(block);
-  std::uint32_t l = static_cast<std::uint32_t>(block >> 32);
-  std::uint32_t r = static_cast<std::uint32_t>(block);
-  for (int round = 0; round < 16; ++round) {
-    const std::uint32_t next_r = l ^ des_detail::feistel(r, ks[round]);
-    l = r;
-    r = next_r;
+// ---- Word-oriented core ----------------------------------------------------
+//
+// The cipher proper computes exactly what des_detail's bit-serial functions
+// compute (the tests sweep it against them), a word at a time:
+//
+//   * IP and FP are five swap-moves each (no tables).
+//   * E is eight shift-and-mask extractions. E's chunk for S-box i is the
+//     six bits of R at positions 4i..4i+5 (FIPS numbering, wrapping 33 to
+//     1), so R rotated right by 3 holds the S1/S3/S5/S7 chunks in bits
+//     29..24, 21..16, 13..8 and 5..0, and R rotated left by 1 holds the
+//     S2/S4/S6/S8 chunks there. Each round key is stored pre-split in the
+//     same layout (Des::RoundKey), so one XOR per word adds it.
+//   * S then P is two lookups per S-box: the S-box row indexed by the raw
+//     6-bit input, then a 16-word row holding P of that 4-bit output in
+//     the S-box's nibble. f is the OR of the eight words.
+//
+// Both kinds of row are built at compile time from kSbox and kP, and each
+// is one 64-byte cache line (DesSboxRow, DesSpreadRow). Every key- or
+// data-dependent index therefore stays inside one line, as it does in the
+// reference kSbox rows; merged 256-byte S-and-P rows would be faster but
+// would spread each secret index over four lines.
+
+static_assert(sizeof(DesSboxRow) == 64 && alignof(DesSboxRow) == 64);
+static_assert(sizeof(DesSpreadRow) == 64 && alignof(DesSpreadRow) == 64);
+
+constexpr std::array<DesSboxRow, 8> make_sbox_rows() {
+  std::array<DesSboxRow, 8> rows{};
+  for (int i = 0; i < 8; ++i) {
+    for (int x = 0; x < 64; ++x) {
+      const int row = ((x >> 4) & 0x2) | (x & 0x1);
+      const int col = (x >> 1) & 0xF;
+      rows[i].out[x] = des_detail::kSbox[i][row * 16 + col];
+    }
   }
-  // Swap halves before the final permutation.
-  const std::uint64_t pre = (std::uint64_t{r} << 32) | l;
-  return des_detail::final_permutation(pre);
+  return rows;
+}
+
+constexpr std::array<DesSpreadRow, 8> make_spread_rows() {
+  std::array<DesSpreadRow, 8> rows{};
+  for (int i = 0; i < 8; ++i) {
+    for (std::uint32_t s = 0; s < 16; ++s) {
+      rows[i].word[s] = static_cast<std::uint32_t>(des_detail::permute<32>(
+          s << (28 - 4 * i), des_detail::kP, 32));
+    }
+  }
+  return rows;
+}
+
+constexpr std::array<DesSboxRow, 8> kSboxRows = make_sbox_rows();
+constexpr std::array<DesSpreadRow, 8> kSpreadRows = make_spread_rows();
+
+// S-box i then P, for the 6-bit chunk in the low byte of `x` (the byte's
+// top two bits are clear, so the index stays below 64).
+inline std::uint32_t sp(int i, std::uint32_t x) {
+  return kSpreadRows[i].word[kSboxRows[i].out[x & 0xFF]];
+}
+
+// f(R, K) for a round key pre-split as in Des::RoundKey.
+inline std::uint32_t feistel(std::uint32_t r, std::uint32_t k1357,
+                             std::uint32_t k2468) {
+  // Masking the two words once leaves every chunk alone in its byte.
+  const std::uint32_t x1357 = (rotr32(r, 3) & 0x3F3F3F3Fu) ^ k1357;
+  const std::uint32_t x2468 = (rotl32(r, 1) & 0x3F3F3F3Fu) ^ k2468;
+  // A balanced OR tree: the eight lookups do not wait on one another.
+  return ((sp(0, x1357 >> 24) | sp(1, x2468 >> 24)) |
+          (sp(2, x1357 >> 16) | sp(3, x2468 >> 16))) |
+         ((sp(4, x1357 >> 8) | sp(5, x2468 >> 8)) |
+          (sp(6, x1357) | sp(7, x2468)));
+}
+
+// One swap-move: exchange the bits of `a` selected by `mask << n` with the
+// bits of `b` selected by `mask`.
+inline void swap_move(std::uint32_t& a, std::uint32_t& b, int n,
+                      std::uint32_t mask) {
+  const std::uint32_t t = ((a >> n) ^ b) & mask;
+  b ^= t;
+  a ^= t << n;
+}
+
+// IP, leaving L0 in `l` and R0 in `r`.
+inline void swap_move_ip(std::uint64_t block, std::uint32_t& l,
+                         std::uint32_t& r) {
+  l = static_cast<std::uint32_t>(block >> 32);
+  r = static_cast<std::uint32_t>(block);
+  swap_move(l, r, 4, 0x0F0F0F0Fu);
+  swap_move(l, r, 16, 0x0000FFFFu);
+  swap_move(r, l, 2, 0x33333333u);
+  swap_move(r, l, 8, 0x00FF00FFu);
+  swap_move(l, r, 1, 0x55555555u);
+}
+
+// FP = IP^-1: the same swap-moves in reverse order, on the block (l, r).
+inline std::uint64_t swap_move_fp(std::uint32_t l, std::uint32_t r) {
+  swap_move(l, r, 1, 0x55555555u);
+  swap_move(r, l, 8, 0x00FF00FFu);
+  swap_move(r, l, 2, 0x33333333u);
+  swap_move(l, r, 16, 0x0000FFFFu);
+  swap_move(l, r, 4, 0x0F0F0F0Fu);
+  return (std::uint64_t{l} << 32) | r;
 }
 
 }  // namespace
 
-Des::Des(ConstBytes key8)
-    : enc_(des_detail::key_schedule(key8)), dec_(des_detail::reverse(enc_)) {}
+Des::Des(ConstBytes key8) {
+  const des_detail::KeySchedule ks = des_detail::key_schedule(key8);
+  for (int round = 0; round < 16; ++round) {
+    const auto c = des_detail::subkey_chunks(ks[round]);
+    rk_[round] = {
+        (std::uint32_t{c[0]} << 24) | (std::uint32_t{c[2]} << 16) |
+            (std::uint32_t{c[4]} << 8) | c[6],
+        (std::uint32_t{c[1]} << 24) | (std::uint32_t{c[3]} << 16) |
+            (std::uint32_t{c[5]} << 8) | c[7]};
+  }
+}
+
+des_detail::KeySchedule Des::schedule() const {
+  des_detail::KeySchedule ks{};
+  for (int round = 0; round < 16; ++round) {
+    std::uint64_t k = 0;
+    for (int shift = 24; shift >= 0; shift -= 8) {
+      k = (k << 6) | ((rk_[round].s1357 >> shift) & 0x3F);
+      k = (k << 6) | ((rk_[round].s2468 >> shift) & 0x3F);
+    }
+    ks[round] = k;
+  }
+  return ks;
+}
+
+template <bool Decrypt>
+void Des::rounds(std::uint32_t& l, std::uint32_t& r) const {
+  for (int i = 0; i < 16; i += 2) {
+    const RoundKey& k1 = rk_[Decrypt ? 15 - i : i];
+    const RoundKey& k2 = rk_[Decrypt ? 14 - i : i + 1];
+    l ^= feistel(r, k1.s1357, k1.s2468);
+    r ^= feistel(l, k2.s1357, k2.s2468);
+  }
+  std::swap(l, r);
+}
 
 void Des::encrypt_block(const std::uint8_t* in, std::uint8_t* out) const {
-  store_be64(out, des_rounds(load_be64(in), enc_));
+  std::uint32_t l, r;
+  swap_move_ip(load_be64(in), l, r);
+  rounds<false>(l, r);
+  store_be64(out, swap_move_fp(l, r));
 }
 
 void Des::decrypt_block(const std::uint8_t* in, std::uint8_t* out) const {
-  store_be64(out, des_rounds(load_be64(in), dec_));
+  std::uint32_t l, r;
+  swap_move_ip(load_be64(in), l, r);
+  rounds<true>(l, r);
+  store_be64(out, swap_move_fp(l, r));
 }
 
 namespace {
@@ -253,18 +380,25 @@ Des3::Des3(ConstBytes key)
       k2_(key.subspan(8, 8)),
       k3_(key.size() == 24 ? key.subspan(16, 8) : key.subspan(0, 8)) {}
 
+// EDE as one IP, 48 rounds and one FP: the FP ending each inner DES and
+// the IP starting the next cancel, leaving only the half swap that
+// rounds() already performs.
 void Des3::encrypt_block(const std::uint8_t* in, std::uint8_t* out) const {
-  std::uint8_t tmp[8];
-  k1_.encrypt_block(in, tmp);
-  k2_.decrypt_block(tmp, tmp);
-  k3_.encrypt_block(tmp, out);
+  std::uint32_t l, r;
+  swap_move_ip(load_be64(in), l, r);
+  k1_.rounds<false>(l, r);
+  k2_.rounds<true>(l, r);
+  k3_.rounds<false>(l, r);
+  store_be64(out, swap_move_fp(l, r));
 }
 
 void Des3::decrypt_block(const std::uint8_t* in, std::uint8_t* out) const {
-  std::uint8_t tmp[8];
-  k3_.decrypt_block(in, tmp);
-  k2_.encrypt_block(tmp, tmp);
-  k1_.decrypt_block(tmp, out);
+  std::uint32_t l, r;
+  swap_move_ip(load_be64(in), l, r);
+  k3_.rounds<true>(l, r);
+  k2_.rounds<false>(l, r);
+  k1_.rounds<true>(l, r);
+  store_be64(out, swap_move_fp(l, r));
 }
 
 }  // namespace mapsec::crypto

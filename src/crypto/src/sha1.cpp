@@ -67,7 +67,8 @@ void Sha1::update(ConstBytes data) {
   std::size_t off = 0;
   if (buf_len_ > 0) {
     const std::size_t take = std::min(kBlockSize - buf_len_, data.size());
-    std::memcpy(buf_.data() + buf_len_, data.data(), take);
+    // An empty span may carry a null pointer, which memcpy must not see.
+    if (take > 0) std::memcpy(buf_.data() + buf_len_, data.data(), take);
     buf_len_ += take;
     off += take;
     if (buf_len_ == kBlockSize) {

@@ -97,7 +97,8 @@ void Sha256::update(ConstBytes data) {
   std::size_t off = 0;
   if (buf_len_ > 0) {
     const std::size_t take = std::min(kBlockSize - buf_len_, data.size());
-    std::memcpy(buf_.data() + buf_len_, data.data(), take);
+    // An empty span may carry a null pointer, which memcpy must not see.
+    if (take > 0) std::memcpy(buf_.data() + buf_len_, data.data(), take);
     buf_len_ += take;
     off += take;
     if (buf_len_ == kBlockSize) {
@@ -173,7 +174,7 @@ std::vector<Bytes> sha256_many(const std::vector<ConstBytes>& msgs) {
     const std::size_t total = ((len + 8) / Sha256::kBlockSize + 1) *
                               Sha256::kBlockSize;
     padded[l].assign(total, 0);
-    std::memcpy(padded[l].data(), msgs[l].data(), len);
+    std::copy(msgs[l].begin(), msgs[l].end(), padded[l].begin());
     padded[l][len] = 0x80;
     store_be64(padded[l].data() + total - 8, std::uint64_t{len} * 8);
     remaining[l] = total / Sha256::kBlockSize;

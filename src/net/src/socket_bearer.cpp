@@ -199,7 +199,13 @@ void SocketEndpoint::flush_now() {
       iov[i].iov_len = slices[i].len;
       total += slices[i].len;
     }
-    ssize_t n = writev(fd_, iov, static_cast<int>(count));
+    // sendmsg is writev with flags: MSG_NOSIGNAL turns a write to a peer
+    // that has gone into an EPIPE fast-fail instead of a SIGPIPE that
+    // would kill the whole process. The counters keep their writev names.
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = count;
+    ssize_t n = sendmsg(fd_, &msg, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) {
@@ -210,7 +216,7 @@ void SocketEndpoint::flush_now() {
         }
         return;
       }
-      fail("writev: " + errno_string(errno));
+      fail("sendmsg: " + errno_string(errno));
       return;
     }
     ++stats_.writev_calls;

@@ -1,6 +1,8 @@
 // Known-answer and property tests for the block/stream ciphers and modes.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "mapsec/crypto/aes.hpp"
 #include "mapsec/crypto/cipher.hpp"
 #include "mapsec/crypto/des.hpp"
@@ -227,6 +229,12 @@ struct Rc2Vector {
   const char* plaintext;
   const char* ciphertext;
 };
+
+// Names each vector by key and effective bits, so the test name is the
+// same on every build rather than a dump of the struct's pointers.
+void PrintTo(const Rc2Vector& v, std::ostream* os) {
+  *os << "key_" << v.key << "_bits_" << v.effective_bits;
+}
 
 class Rc2VectorTest : public ::testing::TestWithParam<Rc2Vector> {};
 

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "mapsec/crypto/crc32.hpp"
 #include "mapsec/crypto/hmac.hpp"
@@ -192,6 +193,42 @@ TEST(Crc32Test, LinearityUnderXor) {
     const Bytes zero(64, 0);
     EXPECT_EQ(crc32(axb), crc32(a) ^ crc32(b) ^ crc32(zero));
   }
+}
+
+// An empty span may carry a null data pointer. Fed in while a partial
+// block is buffered, it must change nothing (and must not reach memcpy,
+// which the sanitizer tree treats as a hard failure).
+TEST(HashUpdateTest, NullEmptySpanMidBlockIsANoOp) {
+  const Bytes msg = to_bytes("abc");
+  const ConstBytes empty{};
+  ASSERT_EQ(empty.data(), nullptr);
+  Sha1 a;
+  Md5 b;
+  Sha256 c;
+  a.update(msg);
+  b.update(msg);
+  c.update(msg);
+  a.update(empty);
+  b.update(empty);
+  c.update(empty);
+  EXPECT_EQ(a.finish(), Sha1::hash(msg));
+  EXPECT_EQ(b.finish(), Md5::hash(msg));
+  EXPECT_EQ(c.finish(), Sha256::hash(msg));
+  EXPECT_EQ(sha256_many({empty, msg}),
+            (std::vector<Bytes>{Sha256::hash({}), Sha256::hash(msg)}));
+}
+
+// A rotate by 0 must be the identity, not a shift by the full width.
+// Undefined behaviour cannot be constant-evaluated, so the static_asserts
+// pin it at compile time; the runtime calls cover the sanitizer tree.
+TEST(RotateTest, ZeroCountIsIdentity) {
+  static_assert(rotl32(0x12345678u, 0) == 0x12345678u);
+  static_assert(rotr32(0x12345678u, 0) == 0x12345678u);
+  static_assert(rotl32(0x80000001u, 1) == 0x00000003u);
+  static_assert(rotr32(0x80000001u, 1) == 0xC0000000u);
+  volatile unsigned zero = 0;
+  EXPECT_EQ(rotl32(0xDEADBEEFu, zero), 0xDEADBEEFu);
+  EXPECT_EQ(rotr32(0xDEADBEEFu, zero), 0xDEADBEEFu);
 }
 
 TEST(CtEqualTest, Behaviour) {

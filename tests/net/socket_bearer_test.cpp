@@ -1,10 +1,15 @@
 // Real-socket bearer tests: loopback echo, writev coalescing, partial-
-// write backpressure, hard-reset containment, arena recycling, paused
-// accepts. Every test runtime-probes loopback TCP and skips visibly when
+// write backpressure, hard-reset containment, EPIPE without SIGPIPE,
+// arena recycling, paused accepts. Every test runtime-probes loopback TCP and skips visibly when
 // the sandbox has no network stack.
 #include <gtest/gtest.h>
 
+#include <cerrno>
+#include <chrono>
+#include <csignal>
+#include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "mapsec/net/link.hpp"
@@ -209,6 +214,53 @@ TEST(SocketBearer, BearerResetFailsReliableLinkImmediately) {
   ASSERT_TRUE(rig.reactor.run_until([&link] { return link.dead(); },
                                     2'000'000));
   EXPECT_NE(link_error.find("bearer:"), std::string::npos) << link_error;
+}
+
+TEST(SocketBearer, WriteAfterPeerCloseFailsWithEpipeNotSigpipe) {
+  REQUIRE_SOCKETS();
+  // The default disposition: a SIGPIPE would terminate this process.
+  struct sigaction dfl{};
+  struct sigaction saved{};
+  dfl.sa_handler = SIG_DFL;
+  sigemptyset(&dfl.sa_mask);
+  ASSERT_EQ(sigaction(SIGPIPE, &dfl, &saved), 0);
+
+  EchoRig rig;
+  auto client = connect_endpoint(rig.reactor, rig.arena, rig.config,
+                                 rig.listener->port());
+  Bytes echoed;
+  client->rx().set_receiver([&echoed](ConstBytes frame) {
+    echoed.assign(frame.begin(), frame.end());
+  });
+  const Bytes probe = patterned(100, 4);
+  client->tx().send(probe);
+  ASSERT_TRUE(rig.reactor.run_until(
+      [&echoed, &probe] { return echoed == probe; }, 5'000'000));
+
+  ReliableLink link(rig.reactor.queue(), client->tx(), client->rx(),
+                    LinkConfig{});
+  std::string link_error;
+  link.set_on_error(
+      [&link_error](const std::string& reason) { link_error = reason; });
+
+  // The peer closes gracefully (FIN). The client is not polled, so it has
+  // not read the EOF: its first write lands on a closed socket, which
+  // answers with RST, and the next write fails with EPIPE.
+  rig.accepted.front()->close_quiet();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  for (int i = 0; i < 8 && client->open(); ++i) {
+    link.send_message(patterned(64, static_cast<std::uint8_t>(i)));
+    client->flush_now();
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+
+  // Still running: the EPIPE became a bearer fast-fail, not a signal.
+  ASSERT_EQ(sigaction(SIGPIPE, &saved, nullptr), 0);
+  EXPECT_FALSE(client->open());
+  EXPECT_TRUE(link.dead());
+  EXPECT_NE(link_error.find("bearer:"), std::string::npos) << link_error;
+  EXPECT_NE(link_error.find(std::strerror(EPIPE)), std::string::npos)
+      << link_error;
 }
 
 TEST(SocketBearer, ArenaSteadyStateAcrossConnectionChurn) {
