@@ -221,60 +221,6 @@ void BM_Rsa1024PrivateCrtCached(benchmark::State& state) {
   }
 }
 
-// E22's batched data plane: `width` independent CRT private ops drained
-// through one rsa_private_op_crt_batch call — all 2*width CIOS streams
-// interleave in a single crypto::BatchModExp. Throughput is reported
-// per op (items/s), so the win over BM_Rsa1024PrivateCrtCached is the
-// multi-exponentiation ILP gain at equal work.
-void rsa_crt_batched_bench(benchmark::State& state) {
-  const std::size_t width = static_cast<std::size_t>(state.range(0));
-  HmacDrbg rng(5);
-  std::vector<BigInt> cts;
-  for (std::size_t i = 0; i < width; ++i)
-    cts.push_back(BigInt::random_below(rng, key1024().pub.n));
-  std::vector<RsaPrivateBatchOp> ops(width);
-  for (std::size_t i = 0; i < width; ++i)
-    ops[i] = {&key1024().priv, cts[i], nullptr};
-  MontCache cache;
-  for (auto _ : state) {
-    std::vector<BigInt> ms = rsa_private_op_crt_batch(ops, &cache);
-    benchmark::DoNotOptimize(ms.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(width));
-}
-
-void BM_Rsa1024PrivateCrtBatched(benchmark::State& state) {
-  rsa_crt_batched_bench(state);
-}
-void BM_Rsa1024PrivateCrtBatchedScalar(benchmark::State& state) {
-  ForceScalar scalar;
-  rsa_crt_batched_bench(state);
-}
-
-// Multi-buffer SHA-256: eight 4 KiB lanes hashed through one
-// sha256_many sweep (the AVX2 kernel runs all eight message schedules in
-// one pass). Bytes/s compares directly against BM_Sha256.
-void sha256_mb_bench(benchmark::State& state) {
-  std::vector<Bytes> msgs;
-  for (int i = 0; i < 8; ++i) msgs.push_back(test_data(4096 + i));
-  const std::vector<ConstBytes> views(msgs.begin(), msgs.end());
-  std::size_t total = 0;
-  for (const Bytes& m : msgs) total += m.size();
-  for (auto _ : state) {
-    std::vector<Bytes> digests = sha256_many(views);
-    benchmark::DoNotOptimize(digests.data());
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(total));
-}
-
-void BM_Sha256Multibuf8(benchmark::State& state) { sha256_mb_bench(state); }
-void BM_Sha256Multibuf8Scalar(benchmark::State& state) {
-  ForceScalar scalar;
-  sha256_mb_bench(state);
-}
-
 // Multi-buffer CCM: eight 4 KiB records from different "connections"
 // (distinct keys and nonces) sealed through one ccm_seal_batch — the
 // CBC-MAC chains and CTR streams interleave across records. Bytes/s
@@ -380,8 +326,6 @@ BENCHMARK(BM_Sha1Scalar);
 BENCHMARK(BM_Md5);
 BENCHMARK(BM_Sha256);
 BENCHMARK(BM_Sha256Scalar);
-BENCHMARK(BM_Sha256Multibuf8);
-BENCHMARK(BM_Sha256Multibuf8Scalar);
 BENCHMARK(BM_AesCcmSealBatch8);
 BENCHMARK(BM_AesCcmSealBatch8Scalar);
 BENCHMARK(BM_Crc32);
@@ -391,14 +335,6 @@ BENCHMARK(BM_Rsa1024PrivatePlain)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Rsa1024PrivateCrt)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Rsa1024PrivateCrtScalar)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Rsa1024PrivateCrtCached)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_Rsa1024PrivateCrtBatched)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_Rsa1024PrivateCrtBatchedScalar)
-    ->Arg(4)
-    ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Rsa1024PrivateBlinded)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Rsa1024PrivateLadder)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Rsa1024Public)->Unit(benchmark::kMillisecond);

@@ -528,11 +528,12 @@ int main(int argc, char** argv) {
 
   // Scenario 6 (E22): batched offload sweep. The same offload fleet on
   // saturated lanes, with each lane draining up to `width` queued jobs
-  // per service window (cost(j0) + 0.3 * cost(rest), the BatchModExp ILP
-  // model). At width 4 a full window serves 4 ops in 1.9 op-slots —
-  // 2.105x the per-op rate — so on a lane-bound fleet the served
-  // handshake rate must at least double vs width 1, with the fleet
-  // digest byte-identical for every (lanes, width) cell.
+  // per service window (cost(j0) + 0.3 * cost(rest), the modeled
+  // accelerator's window amortisation; the host runs each job serially).
+  // At width 4 a full window serves 4 ops in 1.9 op-slots — 2.105x the
+  // per-op rate — so on a lane-bound fleet the served handshake rate must
+  // at least double vs width 1, with the fleet digest byte-identical for
+  // every (lanes, width) cell.
   std::puts("\n-- E22: batched offload sweep (same fleet, lanes x batch "
             "width,\n   window cost = op + 0.3/extra op) --");
   struct BatchRow {

@@ -6,10 +6,11 @@ Usage: bench_compare.py BASELINE.json FRESH.json [--threshold 0.20]
 Two input formats are understood:
 
   * google-benchmark reports (BENCH_crypto.json, BENCH_engine.json):
-    benchmarks matched by name (batched variants like
-    BM_Rsa1024PrivateCrtBatched/4 are distinct names, so every batch
-    width is compared per-width), throughput taken from bytes_per_second
-    or items_per_second when present, otherwise inverse real_time.
+    benchmarks matched by name (argument variants like
+    BM_EspInboundPipeline/4/real_time are distinct names, so every
+    worker count is compared on its own), throughput taken from
+    bytes_per_second or items_per_second when present, otherwise
+    inverse real_time.
   * mapsec scenario reports (BENCH_server.json, any doc with a top-level
     "scenarios" key): nested dicts of named scenarios holding mixed
     metric fields. Only throughput-like numeric leaves (keys ending in
@@ -37,11 +38,18 @@ Two input formats are understood:
     while the outcome-equality/conservation/zero-allocation booleans
     are gated absolutely.
 
-Exits non-zero if any benchmark regressed by more than the threshold.
-Improvements and new/removed benchmarks are reported but never fail the
-run — a baseline recorded on different hardware or a different dispatch
-backend (see the report's "crypto_dispatch" context) is expected to move
-in both directions. ci/check.sh runs this comparison by default against
+Refuses the comparison (exit 2, nothing compared) when the two reports
+describe different hosts: a different "num_cpus" in their contexts, or a
+primitive present in both "crypto_dispatch" strings that resolved to a
+different backend. Numbers from different hosts or kernels move in both
+directions and say nothing about the code. A dispatch row present on
+only one side (a row added or deleted between the two builds) is
+printed and does not refuse. A report without a num_cpus field (the
+scenario reports) skips that check.
+
+Otherwise exits non-zero if any benchmark regressed by more than the
+threshold. Improvements and new/removed benchmarks are reported but
+never fail the run. ci/check.sh runs this comparison by default against
 the release tree it just validated; set MAPSEC_BENCH_COMPARE=0 there to
 skip it on hosts whose wall-clock throughput is not trustworthy.
 
@@ -71,7 +79,8 @@ def load_benchmarks(path):
         _walk_throughput(doc, "", out)
         ctx = {"mapsec_build_type": doc.get("mapsec_build_type",
                                             doc.get("build_type")),
-               "crypto_dispatch": doc.get("crypto_dispatch")}
+               "crypto_dispatch": doc.get("crypto_dispatch"),
+               "num_cpus": doc.get("num_cpus")}
         return ctx, out
     out = {}
     for b in doc.get("benchmarks", []):
@@ -81,13 +90,46 @@ def load_benchmarks(path):
         if "bytes_per_second" in b:
             out[name] = ("bytes_per_second", float(b["bytes_per_second"]))
         elif "items_per_second" in b:
-            # Batched benchmarks report per-item throughput (e.g. RSA ops/s
-            # across a batch width); compare that, not wall time per batch.
+            # Benchmarks that count items report per-item throughput;
+            # compare that, not wall time per iteration.
             out[name] = ("items_per_second", float(b["items_per_second"]))
         elif float(b.get("real_time", 0)) > 0:
             # Throughput proxy: ops per unit real time.
             out[name] = ("1/real_time", 1.0 / float(b["real_time"]))
     return doc.get("context", {}), out
+
+
+def parse_dispatch(summary):
+    """Map primitive -> backend from a "crypto_dispatch" summary string.
+
+    "aes=aesni sha1=sha-ni ... (forced_scalar=off)" -> {"aes": "aesni",
+    ..., "forced_scalar": "off"}. A missing summary parses as {}.
+    """
+    rows = {}
+    for token in (summary or "").split():
+        key, sep, value = token.strip("()").partition("=")
+        if sep:
+            rows[key] = value
+    return rows
+
+
+def host_mismatches(base_ctx, fresh_ctx):
+    """Reasons the two reports cannot be compared; [] when they can."""
+    reasons = []
+    b, f = base_ctx.get("num_cpus"), fresh_ctx.get("num_cpus")
+    if b is not None and f is not None and b != f:
+        reasons.append(f"num_cpus differs: baseline={b} fresh={f}")
+    base_rows = parse_dispatch(base_ctx.get("crypto_dispatch"))
+    fresh_rows = parse_dispatch(fresh_ctx.get("crypto_dispatch"))
+    for prim in sorted(set(base_rows) & set(fresh_rows)):
+        if base_rows[prim] != fresh_rows[prim]:
+            reasons.append(f"{prim} resolved to {base_rows[prim]!r} in the "
+                           f"baseline but {fresh_rows[prim]!r} fresh")
+    for prim in sorted(set(base_rows) - set(fresh_rows)):
+        print(f"note: dispatch row {prim} in baseline only")
+    for prim in sorted(set(fresh_rows) - set(base_rows)):
+        print(f"note: dispatch row {prim} in fresh report only")
+    return reasons
 
 
 def check_shard_sweep(path):
@@ -222,10 +264,18 @@ def main():
     base_ctx, base = load_benchmarks(args.baseline)
     fresh_ctx, fresh = load_benchmarks(args.fresh)
 
-    for key in ("mapsec_build_type", "crypto_dispatch"):
-        b, f = base_ctx.get(key), fresh_ctx.get(key)
-        if b and f and b != f:
-            print(f"note: {key} differs: baseline={b!r} fresh={f!r}")
+    b = base_ctx.get("mapsec_build_type")
+    f = fresh_ctx.get("mapsec_build_type")
+    if b and f and b != f:
+        print(f"note: mapsec_build_type differs: baseline={b!r} fresh={f!r}")
+    reasons = host_mismatches(base_ctx, fresh_ctx)
+    if reasons:
+        for reason in reasons:
+            print(f"  [HOST]    {reason}")
+        print(f"refusing to compare {args.fresh} against {args.baseline}: "
+              "the reports come from different hosts or dispatch backends; "
+              "re-record the baseline on this host")
+        return 2
 
     regressions = []
     for name, (metric, base_v) in sorted(base.items()):

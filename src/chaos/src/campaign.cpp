@@ -1,7 +1,6 @@
 #include "mapsec/chaos/campaign.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <memory>
 #include <stdexcept>
 #include <unordered_map>
@@ -19,15 +18,8 @@ namespace mapsec::chaos {
 
 namespace {
 
-std::uint64_t mix(std::uint64_t seed, std::uint64_t n) {
-  return seed ^ (n * 0x9E3779B97F4A7C15ull + 0xD1B54A32D192ED03ull);
-}
-
-net::SimTime exponential_us(crypto::Rng& rng, double mean_us) {
-  const double u =
-      (static_cast<double>(rng.next_u32()) + 1.0) / 4294967297.0;
-  return static_cast<net::SimTime>(-mean_us * std::log(u));
-}
+using server::load_exponential_us;
+using server::load_sub_seed;
 
 /// Faults flip process-global dispatch state; restore it however the
 /// run ends.
@@ -80,12 +72,12 @@ CampaignReport CampaignRunner::run() {
 
   // The server's entropy source is exhaustible — the RngExhaustion fault
   // drains it live; until then it behaves exactly like a seeded DRBG.
-  ExhaustibleRng server_rng(mix(config_.seed, 0x5E4));
+  ExhaustibleRng server_rng(load_sub_seed(config_.seed, 0x5E4));
   server::ServerConfig server_config = config_.server;
   server_config.handshake.rng = &server_rng;
   server::SecureSessionServer server(queue, server_config, &cache);
 
-  crypto::HmacDrbg client_engine_rng(mix(config_.seed, 0xE17));
+  crypto::HmacDrbg client_engine_rng(load_sub_seed(config_.seed, 0xE17));
   engine::ProtocolEngine client_engine(config_.server.engine_profile,
                                        &client_engine_rng);
   client_engine.load_program("ccmp-in", engine::ccmp_inbound_program());
@@ -123,7 +115,7 @@ CampaignReport CampaignRunner::run() {
   auto make_link = [&](const net::LinkConfig& link_cfg) {
     auto channel = std::make_unique<net::DuplexChannel>(
         queue, config_.channel, config_.channel,
-        mix(config_.seed, 0xC4A17 + connect_counter));
+        load_sub_seed(config_.seed, 0xC4A17 + connect_counter));
     ++connect_counter;
     apply_weather(channel->a_to_b());
     apply_weather(channel->b_to_a());
@@ -139,12 +131,12 @@ CampaignReport CampaignRunner::run() {
   // ---- honest fleet ---------------------------------------------------
   std::vector<std::unique_ptr<server::SessionClient>> clients;
   clients.reserve(config_.honest_clients);
-  crypto::HmacDrbg arrival_rng(mix(config_.seed, 0xA881));
+  crypto::HmacDrbg arrival_rng(load_sub_seed(config_.seed, 0xA881));
   net::SimTime arrival = 0;
   for (std::size_t i = 0; i < config_.honest_clients; ++i) {
     auto client = std::make_unique<server::SessionClient>(
         queue, config_.client, static_cast<std::uint32_t>(i), client_engine,
-        mix(config_.seed, 0xC11E57 + i));
+        load_sub_seed(config_.seed, 0xC11E57 + i));
     client->set_connect(
         [&, link_cfg = config_.client.link](server::SessionClient&) {
           return make_link(link_cfg);
@@ -152,8 +144,9 @@ CampaignReport CampaignRunner::run() {
     queue.schedule_at(arrival, [c = client.get()] { c->start(); });
     arrival +=
         config_.poisson_arrivals
-            ? exponential_us(arrival_rng,
-                             static_cast<double>(config_.mean_interarrival_us))
+            ? load_exponential_us(
+                  arrival_rng,
+                  static_cast<double>(config_.mean_interarrival_us))
             : config_.mean_interarrival_us;
     clients.push_back(std::move(client));
   }
@@ -164,7 +157,8 @@ CampaignReport CampaignRunner::run() {
   std::uint64_t fault_index = 0;
 
   for (const Fault& fault : config_.faults) {
-    const std::uint64_t fseed = mix(config_.seed, 0xFA017 + fault_index);
+    const std::uint64_t fseed =
+        load_sub_seed(config_.seed, 0xFA017 + fault_index);
     ++fault_index;
 
     if (const auto* f = std::get_if<Blackout>(&fault)) {
@@ -260,7 +254,7 @@ CampaignReport CampaignRunner::run() {
         auto attacker = std::make_unique<FloodClient>(
             queue, std::move(fc),
             static_cast<std::uint32_t>(0xF000 + floods.size()),
-            mix(fseed, 0xDD05 + a));
+            load_sub_seed(fseed, 0xDD05 + a));
         attacker->set_connect(
             [&, link_cfg = config_.client.link](FloodClient&) {
               return make_link(link_cfg);
@@ -279,7 +273,7 @@ CampaignReport CampaignRunner::run() {
         auto vandal = std::make_unique<MalformedClient>(
             queue, std::move(mc),
             static_cast<std::uint32_t>(0xBAD0 + vandals.size()),
-            make_seeded_mutator(mix(fseed, 0x3AD + c),
+            make_seeded_mutator(load_sub_seed(fseed, 0x3AD + c),
                                 config_.client.handshake));
         vandal->set_connect(
             [&, link_cfg = config_.client.link](MalformedClient&) {
@@ -434,8 +428,8 @@ CampaignReport CampaignRunner::run_sharded() {
   std::vector<std::unique_ptr<crypto::HmacDrbg>> engine_rngs;
   std::vector<std::unique_ptr<engine::ProtocolEngine>> engines;
   for (std::size_t s = 0; s < num_shards; ++s) {
-    engine_rngs.push_back(
-        std::make_unique<crypto::HmacDrbg>(mix(config_.seed, 0xE17 + s)));
+    engine_rngs.push_back(std::make_unique<crypto::HmacDrbg>(
+        load_sub_seed(config_.seed, 0xE17 + s)));
     engines.push_back(std::make_unique<engine::ProtocolEngine>(
         config_.server.engine_profile, engine_rngs.back().get()));
     engines.back()->load_program("ccmp-in", engine::ccmp_inbound_program());
@@ -481,13 +475,14 @@ CampaignReport CampaignRunner::run_sharded() {
     const std::uint32_t wire_id = server::make_wire_id(conn_key, attempt);
     auto channel = std::make_unique<net::DuplexChannel>(
         queue, config_.channel, config_.channel,
-        mix(config_.seed, 0xC4A17 + wire_id));
+        load_sub_seed(config_.seed, 0xC4A17 + wire_id));
     apply_weather(weather[s], channel->a_to_b());
     apply_weather(weather[s], channel->b_to_a());
     if (tier.shard_alive(s)) {
       server::SecureSessionServer::AcceptOptions opts;
       opts.wire_id = wire_id;
-      opts.rng_seed = mix(mix(config_.seed, 0x5E4), wire_id);
+      opts.rng_seed =
+          load_sub_seed(load_sub_seed(config_.seed, 0x5E4), wire_id);
       tier.accept(conn_key, channel->b_to_a(), channel->a_to_b(), opts);
     }
     auto link = std::make_unique<net::ReliableLink>(
@@ -505,7 +500,7 @@ CampaignReport CampaignRunner::run_sharded() {
   // arrival times are placement-independent, so the fleet digest is too.
   std::vector<std::unique_ptr<server::SessionClient>> clients;
   clients.reserve(config_.honest_clients);
-  crypto::HmacDrbg arrival_rng(mix(config_.seed, 0xA881));
+  crypto::HmacDrbg arrival_rng(load_sub_seed(config_.seed, 0xA881));
   net::SimTime arrival = 0;
   for (std::size_t i = 0; i < config_.honest_clients; ++i) {
     const auto key = static_cast<std::uint32_t>(i);
@@ -513,7 +508,7 @@ CampaignReport CampaignRunner::run_sharded() {
         server::shard_for_live(key, num_shards, tier.routable());
     auto client = std::make_unique<server::SessionClient>(
         tier.queue(s), config_.client, key, *engines[s],
-        mix(config_.seed, 0xC11E57 + i));
+        load_sub_seed(config_.seed, 0xC11E57 + i));
     client->set_connect(
         [&make_link, key, link_cfg = config_.client.link](
             server::SessionClient&) { return make_link(key, link_cfg); });
@@ -521,8 +516,9 @@ CampaignReport CampaignRunner::run_sharded() {
     client->schedule_start(arrival);
     arrival +=
         config_.poisson_arrivals
-            ? exponential_us(arrival_rng,
-                             static_cast<double>(config_.mean_interarrival_us))
+            ? load_exponential_us(
+                  arrival_rng,
+                  static_cast<double>(config_.mean_interarrival_us))
             : config_.mean_interarrival_us;
     clients.push_back(std::move(client));
   }
@@ -553,7 +549,8 @@ CampaignReport CampaignRunner::run_sharded() {
   };
 
   for (const Fault& fault : config_.faults) {
-    const std::uint64_t fseed = mix(config_.seed, 0xFA017 + fault_index);
+    const std::uint64_t fseed =
+        load_sub_seed(config_.seed, 0xFA017 + fault_index);
     ++fault_index;
 
     if (const auto* f = std::get_if<Blackout>(&fault)) {
@@ -649,7 +646,7 @@ CampaignReport CampaignRunner::run_sharded() {
         const auto key = static_cast<std::uint32_t>(0xF000 + floods.size());
         auto attacker = std::make_unique<FloodClient>(
             tier.queue(tier.shard_of(key)), std::move(fc), key,
-            mix(fseed, 0xDD05 + a));
+            load_sub_seed(fseed, 0xDD05 + a));
         attacker->set_connect(
             [&make_link, key, link_cfg = config_.client.link](FloodClient&) {
               return make_link(key, link_cfg);
@@ -669,7 +666,7 @@ CampaignReport CampaignRunner::run_sharded() {
         const auto key = static_cast<std::uint32_t>(0xBAD0 + vandals.size());
         auto vandal = std::make_unique<MalformedClient>(
             tier.queue(tier.shard_of(key)), std::move(mc), key,
-            make_seeded_mutator(mix(fseed, 0x3AD + c),
+            make_seeded_mutator(load_sub_seed(fseed, 0x3AD + c),
                                 config_.client.handshake));
         vandal->set_connect(
             [&make_link, key,

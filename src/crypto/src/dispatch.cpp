@@ -126,46 +126,6 @@ MontPick pick_mont() {
   return {mont_cios_w64_scalar, "scalar"};
 }
 
-struct MontBatchPick {
-  MontCiosBatchFn fn;
-  const char* name;
-};
-
-MontBatchPick pick_mont_batch() {
-  const CpuFeatures& f = cpu_features();
-  // The interleaved kernel's ragged tail runs through kMontCiosUnrolled,
-  // so it carries the single-op kernel's CPUID requirements too.
-  if (kHaveMontBatch && kHaveMontUnrolled &&
-      (!kMontBatchNeedsBmi2 || (f.bmi2 && f.adx)))
-    return {kMontCiosBatchIlp, kMontBatchNeedsBmi2 ? "ilp-bmi2" : "ilp"};
-  return {mont_cios_w64_batch_scalar, "scalar"};
-}
-
-struct Sha256MbPick {
-  Sha256MbFn fn;
-  const char* name;
-};
-
-// Hardware SHA beats 8-wide software SIMD: a single SHA-NI stream outruns
-// the interleaved AVX2 kernel (~1.3 GB/s vs ~0.94 GB/s measured), so on
-// SHA-NI hosts the multi-buffer entry point just drives each lane through
-// the hardware compressor in turn. Lane state transitions are identical
-// either way, so digests don't depend on which driver ran.
-void sha256_mb_serial_shani(std::uint32_t* const* states,
-                            const std::uint8_t* const* blocks,
-                            std::size_t nlanes, std::size_t nblocks) {
-  for (std::size_t l = 0; l < nlanes; ++l)
-    kSha256ShaNi(states[l], blocks[l], nblocks);
-}
-
-Sha256MbPick pick_sha256_mb() {
-  const CpuFeatures& f = cpu_features();
-  if (kHaveShaNi && f.sha_ni && f.ssse3 && f.sse41)
-    return {sha256_mb_serial_shani, "sha-ni-serial"};
-  if (kHaveSha256Mb && f.avx2) return {kSha256MbAvx2, "avx2-x8"};
-  return {sha256_mb_scalar, "scalar"};
-}
-
 const AesMbKernels* pick_aes_mb() {
   const CpuFeatures& f = cpu_features();
   if (kHaveAesMbNi && f.aesni && f.ssse3 && f.sse41) return &kAesMbNi;
@@ -188,14 +148,6 @@ const CrcPick& auto_crc() {
 }
 const MontPick& auto_mont() {
   static const MontPick p = pick_mont();
-  return p;
-}
-const MontBatchPick& auto_mont_batch() {
-  static const MontBatchPick p = pick_mont_batch();
-  return p;
-}
-const Sha256MbPick& auto_sha256_mb() {
-  static const Sha256MbPick p = pick_sha256_mb();
   return p;
 }
 const AesMbKernels& auto_aes_mb() {
@@ -230,16 +182,6 @@ MontCiosFn mont_cios_w64() {
   return auto_mont().fn;
 }
 
-MontCiosBatchFn mont_cios_w64_batch() {
-  if (scalar_forced()) return mont_cios_w64_batch_scalar;
-  return auto_mont_batch().fn;
-}
-
-Sha256MbFn sha256_mb() {
-  if (scalar_forced()) return sha256_mb_scalar;
-  return auto_sha256_mb().fn;
-}
-
 const AesMbKernels& aes_mb_kernels() {
   if (scalar_forced()) return kAesMbScalar;
   return auto_aes_mb();
@@ -265,12 +207,6 @@ Capabilities capabilities() {
   const char* mont_name = forced ? "scalar" : auto_mont().name;
   c.primitives.push_back(
       {"modexp-cios", mont_name, std::string(mont_name) != "scalar"});
-  const char* mont_batch_name = forced ? "scalar" : auto_mont_batch().name;
-  c.primitives.push_back({"modexp-batch", mont_batch_name,
-                          std::string(mont_batch_name) != "scalar"});
-  const char* sha_mb_name = forced ? "scalar" : auto_sha256_mb().name;
-  c.primitives.push_back(
-      {"sha256-mb", sha_mb_name, std::string(sha_mb_name) != "scalar"});
   const char* aes_mb_name = forced ? kAesMbScalar.name : auto_aes_mb().name;
   c.primitives.push_back(
       {"aes-mb", aes_mb_name, std::string(aes_mb_name) != "scalar"});

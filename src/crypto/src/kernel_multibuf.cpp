@@ -1,161 +1,14 @@
-// Multi-buffer kernels: independent streams interleaved so each stream's
-// serial dependency chain overlaps the others'.
+// Multi-buffer AES kernels: independent streams interleaved so each
+// stream's serial dependency chain overlaps the others'. Four CBC-MAC
+// chains (inherently serial per lane) or four CTR keystreams advance in
+// lockstep rounds; aesenc has multi-cycle latency but single-cycle
+// throughput, so independent lanes in flight are nearly free. Each lane
+// keeps its own key schedule — records from different connections batch
+// together.
 //
-//  * SHA-256 ×8 (AVX2): eight lanes transposed into vector registers —
-//    each __m256i holds one working variable across all lanes — so one
-//    round's ands/xors/rotates/adds serve eight messages at once. The
-//    per-lane arithmetic is word-for-word the scalar compressor's.
-//  * AES ×4 (AES-NI): four CBC-MAC chains (inherently serial per lane) or
-//    four CTR keystreams advanced in lockstep rounds; aesenc has
-//    multi-cycle latency but single-cycle throughput, so independent
-//    lanes in flight are nearly free. Each lane keeps its own key
-//    schedule — records from different connections batch together.
-//
-// Compiled with -mavx2 -maes -mssse3 -msse4.1 on x86; elsewhere the
-// tables report kHave* = false and are never selected.
+// Compiled with -maes -mssse3 -msse4.1 on x86; elsewhere the table reports
+// kHaveAesMbNi = false and is never selected.
 #include "kernels.hpp"
-
-#if defined(__AVX2__)
-
-#include <immintrin.h>
-
-#include <cstring>
-
-namespace mapsec::crypto::dispatch {
-
-namespace {
-
-constexpr std::uint32_t kK[64] = {
-    0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1,
-    0x923f82a4, 0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3,
-    0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786,
-    0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
-    0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7, 0xc6e00bf3, 0xd5a79147,
-    0x06ca6351, 0x14292967, 0x27b70a85, 0x2e1b2138, 0x4d2c6dfc, 0x53380d13,
-    0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85, 0xa2bfe8a1, 0xa81a664b,
-    0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070,
-    0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a,
-    0x5b9cca4f, 0x682e6ff3, 0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208,
-    0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2};
-
-inline __m256i rotr(__m256i x, int n) {
-  return _mm256_or_si256(_mm256_srli_epi32(x, n),
-                         _mm256_slli_epi32(x, 32 - n));
-}
-
-/// Gather one big-endian message word from each of 8 lanes into one
-/// vector (lane l in 32-bit element l).
-inline __m256i gather_be32(const std::uint8_t* const* blocks,
-                           std::size_t word) {
-  const __m256i idx = _mm256_setr_epi32(
-      static_cast<int>(load_be32(blocks[0] + 4 * word)),
-      static_cast<int>(load_be32(blocks[1] + 4 * word)),
-      static_cast<int>(load_be32(blocks[2] + 4 * word)),
-      static_cast<int>(load_be32(blocks[3] + 4 * word)),
-      static_cast<int>(load_be32(blocks[4] + 4 * word)),
-      static_cast<int>(load_be32(blocks[5] + 4 * word)),
-      static_cast<int>(load_be32(blocks[6] + 4 * word)),
-      static_cast<int>(load_be32(blocks[7] + 4 * word)));
-  return idx;
-}
-
-/// Eight full lanes, nblocks each, lockstep.
-void sha256_x8(std::uint32_t* const* states, const std::uint8_t* const* blocks,
-               std::size_t nblocks) {
-  const std::uint8_t* cur[8];
-  for (int l = 0; l < 8; ++l) cur[l] = blocks[l];
-
-  __m256i h[8];
-  for (int i = 0; i < 8; ++i)
-    h[i] = _mm256_setr_epi32(
-        static_cast<int>(states[0][i]), static_cast<int>(states[1][i]),
-        static_cast<int>(states[2][i]), static_cast<int>(states[3][i]),
-        static_cast<int>(states[4][i]), static_cast<int>(states[5][i]),
-        static_cast<int>(states[6][i]), static_cast<int>(states[7][i]));
-
-  while (nblocks--) {
-    __m256i w[64];
-    for (int i = 0; i < 16; ++i) w[i] = gather_be32(cur, i);
-    for (int i = 16; i < 64; ++i) {
-      const __m256i s0 = _mm256_xor_si256(
-          _mm256_xor_si256(rotr(w[i - 15], 7), rotr(w[i - 15], 18)),
-          _mm256_srli_epi32(w[i - 15], 3));
-      const __m256i s1 = _mm256_xor_si256(
-          _mm256_xor_si256(rotr(w[i - 2], 17), rotr(w[i - 2], 19)),
-          _mm256_srli_epi32(w[i - 2], 10));
-      w[i] = _mm256_add_epi32(_mm256_add_epi32(w[i - 16], s0),
-                              _mm256_add_epi32(w[i - 7], s1));
-    }
-
-    __m256i a = h[0], b = h[1], c = h[2], d = h[3];
-    __m256i e = h[4], f = h[5], g = h[6], hh = h[7];
-    for (int i = 0; i < 64; ++i) {
-      const __m256i s1 = _mm256_xor_si256(
-          _mm256_xor_si256(rotr(e, 6), rotr(e, 11)), rotr(e, 25));
-      const __m256i ch = _mm256_xor_si256(
-          _mm256_and_si256(e, f), _mm256_andnot_si256(e, g));
-      const __m256i t1 = _mm256_add_epi32(
-          _mm256_add_epi32(_mm256_add_epi32(hh, s1), ch),
-          _mm256_add_epi32(_mm256_set1_epi32(static_cast<int>(kK[i])), w[i]));
-      const __m256i s0 = _mm256_xor_si256(
-          _mm256_xor_si256(rotr(a, 2), rotr(a, 13)), rotr(a, 22));
-      const __m256i maj = _mm256_xor_si256(
-          _mm256_xor_si256(_mm256_and_si256(a, b), _mm256_and_si256(a, c)),
-          _mm256_and_si256(b, c));
-      const __m256i t2 = _mm256_add_epi32(s0, maj);
-      hh = g;
-      g = f;
-      f = e;
-      e = _mm256_add_epi32(d, t1);
-      d = c;
-      c = b;
-      b = a;
-      a = _mm256_add_epi32(t1, t2);
-    }
-    h[0] = _mm256_add_epi32(h[0], a);
-    h[1] = _mm256_add_epi32(h[1], b);
-    h[2] = _mm256_add_epi32(h[2], c);
-    h[3] = _mm256_add_epi32(h[3], d);
-    h[4] = _mm256_add_epi32(h[4], e);
-    h[5] = _mm256_add_epi32(h[5], f);
-    h[6] = _mm256_add_epi32(h[6], g);
-    h[7] = _mm256_add_epi32(h[7], hh);
-    for (int l = 0; l < 8; ++l) cur[l] += 64;
-  }
-
-  alignas(32) std::uint32_t out[8];
-  for (int i = 0; i < 8; ++i) {
-    _mm256_store_si256(reinterpret_cast<__m256i*>(out), h[i]);
-    for (int l = 0; l < 8; ++l) states[l][i] = out[l];
-  }
-}
-
-void sha256_mb_avx2(std::uint32_t* const* states,
-                    const std::uint8_t* const* blocks, std::size_t nlanes,
-                    std::size_t nblocks) {
-  std::size_t l = 0;
-  for (; nlanes - l >= 8; l += 8) sha256_x8(states + l, blocks + l, nblocks);
-  for (; l < nlanes; ++l) sha256_compress_scalar(states[l], blocks[l], nblocks);
-}
-
-}  // namespace
-
-const Sha256MbFn kSha256MbAvx2 = sha256_mb_avx2;
-const bool kHaveSha256Mb = true;
-
-}  // namespace mapsec::crypto::dispatch
-
-#else  // no AVX2 at compile time: stub, never selected.
-
-namespace mapsec::crypto::dispatch {
-const Sha256MbFn kSha256MbAvx2 = nullptr;
-const bool kHaveSha256Mb = false;
-}  // namespace mapsec::crypto::dispatch
-
-#endif
-
-// ---------------------------------------------------------------------------
-// AES multi-buffer (AES-NI)
 
 #if defined(__AES__) && defined(__SSSE3__) && defined(__SSE4_1__)
 

@@ -48,17 +48,6 @@ void mont_cios_w64_scalar(const std::uint64_t* a, const std::uint64_t* b,
   }
 }
 
-// The batched reference path: each lane run to completion through the
-// scalar single-op kernel, in lane order. The ILP kernel must match this
-// bit for bit (it reorders instructions across lanes, never arithmetic
-// within one).
-void mont_cios_w64_batch_scalar(const MontBatchOperand* ops,
-                                std::size_t count, std::size_t kw) {
-  for (std::size_t i = 0; i < count; ++i)
-    mont_cios_w64_scalar(ops[i].a, ops[i].b, ops[i].n, ops[i].n0inv, ops[i].t,
-                         kw);
-}
-
 }  // namespace dispatch
 
 Montgomery::Montgomery(const BigInt& modulus) : n_(modulus) {
@@ -208,17 +197,13 @@ void Montgomery::mul_raw_w64(const std::uint64_t* a, const std::uint64_t* b,
   // extra-reduction statistics the timing attack consumes cannot drift
   // between backends.
   std::uint64_t* t = scratch_.data();
-  dispatch::mont_cios_w64()(a, b, n_limbs_.data(), n0inv_, t, kw_);
-  redc_finish(t, n_limbs_.data(), kw_, out, stats);
-}
+  const std::uint64_t* nw = n_limbs_.data();
+  // A local copy: stores through `out` may alias a size_t member.
+  const std::size_t kw = kw_;
+  dispatch::mont_cios_w64()(a, b, nw, n0inv_, t, kw);
 
-// Final conditional subtraction (the data-dependent "extra reduction"
-// the timing attack measures): result = t - n when t >= n. Shared by the
-// single-op path and BatchModExp so the extra-reduction statistics the
-// timing attack consumes cannot drift between them.
-void Montgomery::redc_finish(const std::uint64_t* t, const std::uint64_t* nw,
-                             std::size_t kw, std::uint64_t* out,
-                             MontStats* stats) {
+  // Final conditional subtraction (the data-dependent "extra reduction"
+  // the timing attack measures): result = t - n when t >= n.
   if (stats) ++stats->mults;
 
   bool ge = t[kw] != 0;

@@ -70,15 +70,6 @@ void sha256_compress_scalar(std::uint32_t state[8], const std::uint8_t* blocks,
   }
 }
 
-// Multi-buffer reference path: each lane advanced through the scalar
-// compressor in lane order. The AVX2 kernel must match this bit for bit.
-void sha256_mb_scalar(std::uint32_t* const* states,
-                      const std::uint8_t* const* blocks, std::size_t nlanes,
-                      std::size_t nblocks) {
-  for (std::size_t l = 0; l < nlanes; ++l)
-    sha256_compress_scalar(states[l], blocks[l], nblocks);
-}
-
 }  // namespace dispatch
 
 void Sha256::reset() {
@@ -151,66 +142,6 @@ void Sha256::hash_into(ConstBytes data, std::uint8_t* out) {
   Sha256 h;
   h.update(data);
   h.finish_into(out);
-}
-
-std::vector<Bytes> sha256_many(const std::vector<ConstBytes>& msgs) {
-  const std::size_t n = msgs.size();
-  std::vector<Bytes> digests(n);
-  if (n == 0) return digests;
-
-  // Pad every message up front (FIPS 180-2 Merkle–Damgård padding), then
-  // drive all lanes lockstep through the multi-buffer compressor: each
-  // round advances every still-active lane by the minimum remaining block
-  // count, so a lane's state transitions are exactly the ones Sha256::hash
-  // would produce and the digests are byte-identical by construction.
-  std::vector<Bytes> padded(n);
-  std::vector<std::array<std::uint32_t, 8>> states(
-      n, {0x6a09e667u, 0xbb67ae85u, 0x3c6ef372u, 0xa54ff53au, 0x510e527fu,
-          0x9b05688cu, 0x1f83d9abu, 0x5be0cd19u});
-  std::vector<std::size_t> remaining(n);
-  std::vector<const std::uint8_t*> cursor(n);
-  for (std::size_t l = 0; l < n; ++l) {
-    const std::size_t len = msgs[l].size();
-    const std::size_t total = ((len + 8) / Sha256::kBlockSize + 1) *
-                              Sha256::kBlockSize;
-    padded[l].assign(total, 0);
-    std::copy(msgs[l].begin(), msgs[l].end(), padded[l].begin());
-    padded[l][len] = 0x80;
-    store_be64(padded[l].data() + total - 8, std::uint64_t{len} * 8);
-    remaining[l] = total / Sha256::kBlockSize;
-    cursor[l] = padded[l].data();
-  }
-
-  std::vector<std::uint32_t*> lane_states;
-  std::vector<const std::uint8_t*> lane_blocks;
-  std::vector<std::size_t> lane_index;
-  for (;;) {
-    lane_states.clear();
-    lane_blocks.clear();
-    lane_index.clear();
-    std::size_t step = 0;
-    for (std::size_t l = 0; l < n; ++l) {
-      if (remaining[l] == 0) continue;
-      step = step == 0 ? remaining[l] : std::min(step, remaining[l]);
-      lane_states.push_back(states[l].data());
-      lane_blocks.push_back(cursor[l]);
-      lane_index.push_back(l);
-    }
-    if (lane_index.empty()) break;
-    dispatch::sha256_mb()(lane_states.data(), lane_blocks.data(),
-                          lane_index.size(), step);
-    for (const std::size_t l : lane_index) {
-      remaining[l] -= step;
-      cursor[l] += step * Sha256::kBlockSize;
-    }
-  }
-
-  for (std::size_t l = 0; l < n; ++l) {
-    digests[l].resize(Sha256::kDigestSize);
-    for (int i = 0; i < 8; ++i)
-      store_be32(digests[l].data() + 4 * i, states[l][i]);
-  }
-  return digests;
 }
 
 }  // namespace mapsec::crypto

@@ -7,6 +7,21 @@
 
 namespace mapsec::engine {
 
+namespace {
+
+// A window executes job by job through the serial CRT operation; the
+// batch exists only in the modeled window price.
+std::vector<protocol::PkResult> run_window(
+    const std::vector<protocol::PkJob>& jobs, crypto::MontCache* cache) {
+  std::vector<protocol::PkResult> results;
+  results.reserve(jobs.size());
+  for (const protocol::PkJob& job : jobs)
+    results.push_back(protocol::run_pk_job(job, cache));
+  return results;
+}
+
+}  // namespace
+
 OffloadEngine::OffloadEngine(net::EventQueue& queue, std::size_t num_workers,
                              OffloadCosts costs,
                              std::uint64_t steal_timeout_ms,
@@ -82,8 +97,8 @@ void OffloadEngine::close_batch(std::size_t lane) {
   std::unique_ptr<Forming> f = std::move(forming_[lane]);
   const net::SimTime start = f->start;
 
-  // Window price: the first job at full service cost, every extra stream
-  // at the marginal fraction (the interleaved kernel's ILP win).
+  // Window price: the first job at full service cost, every extra job at
+  // the marginal fraction (the modeled accelerator's window amortisation).
   std::uint64_t cost = costs_.cost_us(f->jobs[0].kind);
   for (std::size_t j = 1; j < f->jobs.size(); ++j)
     cost += static_cast<std::uint64_t>(
@@ -111,7 +126,7 @@ void OffloadEngine::close_batch(std::size_t lane) {
         // The modeled accelerator is done; collect the wall-clock result.
         // A healthy worker finished long ago (or finishes within the
         // grace period). If it is stalled, steal the whole window: PkJobs
-        // are pure functions, so recomputing the batch inline is
+        // are pure functions, so recomputing the window inline is
         // bit-identical and only costs wall-clock time.
         std::vector<protocol::PkResult> results;
         bool have = false;
@@ -125,10 +140,7 @@ void OffloadEngine::close_batch(std::size_t lane) {
           }
         }
         if (!have) {
-          std::vector<const protocol::PkJob*> ptrs;
-          ptrs.reserve(pending->jobs.size());
-          for (const protocol::PkJob& j : pending->jobs) ptrs.push_back(&j);
-          results = protocol::run_pk_jobs(ptrs, &steal_cache_);
+          results = run_window(pending->jobs, &steal_cache_);
           stats_.stolen += pending->jobs.size();
         }
         stats_.completed += results.size();
@@ -160,11 +172,8 @@ void OffloadEngine::worker_main(std::size_t index) {
         stall_ns_[index].load(std::memory_order_relaxed);
     if (stall != 0)
       std::this_thread::sleep_for(std::chrono::nanoseconds(stall));
-    std::vector<const protocol::PkJob*> ptrs;
-    ptrs.reserve(pending->jobs.size());
-    for (const protocol::PkJob& j : pending->jobs) ptrs.push_back(&j);
     std::vector<protocol::PkResult> results =
-        protocol::run_pk_jobs(ptrs, &cache);
+        run_window(pending->jobs, &cache);
     {
       std::lock_guard<std::mutex> lock(pending->mu);
       pending->results = std::move(results);

@@ -100,15 +100,6 @@ struct PkResult {
 /// (outputs identical either way).
 PkResult run_pk_job(const PkJob& job, crypto::MontCache* cache = nullptr);
 
-/// Execute a batch of jobs with their private-key exponentiations
-/// interleaved through one multi-exponentiation
-/// (crypto::rsa_private_op_crt_batch) — the accelerator's batched data
-/// plane. Verify jobs run inline (public op, nothing to batch).
-/// results[i] == run_pk_job(*jobs[i], cache) bit for bit, for any batch
-/// size and any dispatch backend.
-std::vector<PkResult> run_pk_jobs(const std::vector<const PkJob*>& jobs,
-                                  crypto::MontCache* cache = nullptr);
-
 /// What both sides agree on once established.
 struct HandshakeSummary {
   CipherSuite suite = CipherSuite::kRsa3DesEdeCbcSha;

@@ -100,8 +100,9 @@ struct ServerConfig {
   std::uint64_t offload_steal_timeout_ms = 250;
   /// Max queued jobs one accelerator lane drains per service window
   /// (engine::OffloadEngine batch_width). 1 = unbatched; wider windows
-  /// amortize the lane cost across interleaved exponentiations under
-  /// queueing. Results and the fleet digest are identical for any width.
+  /// amortize the modeled lane cost across queued jobs (simulated time
+  /// only; the host runs each job serially). Results and the fleet digest
+  /// are identical for any width.
   std::size_t offload_batch_width = 1;
 
   // ---- stateless session tickets (mapsec::ticket) ---------------------

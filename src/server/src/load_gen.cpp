@@ -21,12 +21,11 @@ std::uint64_t load_sub_seed(std::uint64_t seed, std::uint64_t n) {
 
 crypto::Bytes fold_fleet_digest(
     const std::vector<crypto::ConstBytes>& lanes) {
-  // Hash every lane through the multi-buffer sweep (lane-for-lane
-  // identical to Sha256::hash), then fold the lane digests.
-  crypto::Bytes digest_stream;
-  for (const crypto::Bytes& lane_digest : crypto::sha256_many(lanes))
-    digest_stream.insert(digest_stream.end(), lane_digest.begin(),
-                         lane_digest.end());
+  // Hash every lane, then fold the concatenated lane digests.
+  crypto::Bytes digest_stream(lanes.size() * crypto::Sha256::kDigestSize);
+  for (std::size_t i = 0; i < lanes.size(); ++i)
+    crypto::Sha256::hash_into(
+        lanes[i], digest_stream.data() + i * crypto::Sha256::kDigestSize);
   return crypto::Sha256::hash(digest_stream);
 }
 

@@ -1,28 +1,12 @@
 #include "mapsec/server/sharded_server.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 #include <utility>
 
-#include "mapsec/crypto/sha256.hpp"
 #include "mapsec/net/shard_exec.hpp"
 
 namespace mapsec::server {
-
-namespace {
-
-std::uint64_t mix(std::uint64_t seed, std::uint64_t n) {
-  return seed ^ (n * 0x9E3779B97F4A7C15ull + 0xD1B54A32D192ED03ull);
-}
-
-net::SimTime exponential_us(crypto::Rng& rng, double mean_us) {
-  const double u =
-      (static_cast<double>(rng.next_u32()) + 1.0) / 4294967297.0;
-  return static_cast<net::SimTime>(-mean_us * std::log(u));
-}
-
-}  // namespace
 
 void accumulate_stats(ServerStats& fleet, const ServerStats& shard) {
   fleet.connections_accepted += shard.connections_accepted;
@@ -138,7 +122,7 @@ ShardedServer::ShardedServer(ShardedServerConfig config)
     // via AcceptOptions::rng_seed, but an accept without one must not
     // share a DRBG across shard threads.
     shard->fallback_rng = std::make_unique<crypto::HmacDrbg>(
-        mix(config_.server.ticket.key_seed, 0x5EED + s));
+        load_sub_seed(config_.server.ticket.key_seed, 0x5EED + s));
     cfg.handshake.rng = shard->fallback_rng.get();
     if (config_.server.handshake.rng != nullptr && config_.shards == 1)
       cfg.handshake.rng = config_.server.handshake.rng;
@@ -374,7 +358,7 @@ ShardedLoadReport ShardedLoadGenerator::run() {
   std::vector<std::unique_ptr<engine::ProtocolEngine>> engines;
   for (std::size_t s = 0; s < num_shards; ++s) {
     engine_rngs.push_back(
-        std::make_unique<crypto::HmacDrbg>(mix(seed, 0xE17 + s)));
+        std::make_unique<crypto::HmacDrbg>(load_sub_seed(seed, 0xE17 + s)));
     engines.push_back(std::make_unique<engine::ProtocolEngine>(
         server_.engine_profile, engine_rngs.back().get()));
     engines.back()->load_program("ccmp-in", engine::ccmp_inbound_program());
@@ -386,14 +370,14 @@ ShardedLoadReport ShardedLoadGenerator::run() {
   std::vector<std::unique_ptr<SessionClient>> clients;
   std::vector<std::uint32_t> attempts(load_.base.num_clients, 0);
   clients.reserve(load_.base.num_clients);
-  crypto::HmacDrbg arrival_rng(mix(seed, 0xA881));
+  crypto::HmacDrbg arrival_rng(load_sub_seed(seed, 0xA881));
   net::SimTime arrival = 0;
   for (std::size_t i = 0; i < load_.base.num_clients; ++i) {
     const auto key = static_cast<std::uint32_t>(i);
     const std::size_t s = tier.shard_of(key);
     net::EventQueue& queue = tier.queue(s);
     auto client = std::make_unique<SessionClient>(
-        queue, client_, key, *engines[s], mix(seed, 0xC11E57 + i));
+        queue, client_, key, *engines[s], load_sub_seed(seed, 0xC11E57 + i));
     client->set_connect([this, &tier, &channels, &attempts, seed, s, key,
                          i](SessionClient&) {
       net::EventQueue& queue = tier.queue(s);
@@ -403,10 +387,10 @@ ShardedLoadReport ShardedLoadGenerator::run() {
       const std::uint32_t wire_id = make_wire_id(key, attempts[i]++);
       auto channel = std::make_unique<net::DuplexChannel>(
           queue, load_.base.channel, load_.base.channel,
-          mix(seed, 0xC4A17 + wire_id));
+          load_sub_seed(seed, 0xC4A17 + wire_id));
       SecureSessionServer::AcceptOptions opts;
       opts.wire_id = wire_id;
-      opts.rng_seed = mix(mix(seed, 0x5E4), wire_id);
+      opts.rng_seed = load_sub_seed(load_sub_seed(seed, 0x5E4), wire_id);
       tier.accept(key, channel->b_to_a(), channel->a_to_b(), opts);
       auto link = std::make_unique<net::ReliableLink>(
           queue, channel->a_to_b(), channel->b_to_a(), client_.link);
@@ -415,7 +399,7 @@ ShardedLoadReport ShardedLoadGenerator::run() {
     });
     queue.schedule_at(arrival, [c = client.get()] { c->start(); });
     arrival += load_.base.poisson_arrivals
-                   ? exponential_us(
+                   ? load_exponential_us(
                          arrival_rng,
                          static_cast<double>(load_.base.mean_interarrival_us))
                    : load_.base.mean_interarrival_us;
@@ -448,8 +432,7 @@ ShardedLoadReport ShardedLoadGenerator::run() {
   }
 
   // Fleet digest: identical construction to LoadGenerator — every
-  // client's transcript digest in client order, swept through
-  // sha256_many and folded.
+  // client's transcript digest in client order, through fold_fleet_digest.
   std::vector<crypto::ConstBytes> lanes;
   lanes.reserve(clients.size());
   for (const auto& client : clients) {
@@ -462,11 +445,7 @@ ShardedLoadReport ShardedLoadGenerator::run() {
     }
     lanes.push_back(client->transcript_digest());
   }
-  crypto::Bytes digest_stream;
-  for (const crypto::Bytes& lane_digest : crypto::sha256_many(lanes))
-    digest_stream.insert(digest_stream.end(), lane_digest.begin(),
-                         lane_digest.end());
-  fleet.fleet_digest = crypto::Sha256::hash(digest_stream);
+  fleet.fleet_digest = fold_fleet_digest(lanes);
 
   net::SimTime end = 0;
   for (std::size_t s = 0; s < num_shards; ++s)

@@ -250,6 +250,71 @@ TEST_F(ServerOffloadTest, StalledBatchIsStolenWholeWindow) {
   EXPECT_GE(engine.stats().stolen, 4u);  // at least the window was stolen
 }
 
+// One window holding every job kind, including a decrypt whose ciphertext
+// fails validation before any private op: each completion must equal
+// run_pk_job on that job, whether the lane's worker computed the window
+// or the event-loop thread stole it.
+TEST_F(ServerOffloadTest, MixedKindWindowMatchesRunPkJob) {
+  crypto::HmacDrbg rng(0x313D);
+  const Bytes premaster(48, 0x03);
+  const Bytes signed_content(40, 0x5C);
+
+  std::vector<protocol::PkJob> window(4);
+  window[0].kind = protocol::PkJob::Kind::kRsaDecrypt;
+  window[0].private_key = &server_key_->priv;
+  // Modulus-length but >= n: rejected without a private operation.
+  window[0].input = Bytes(server_key_->priv.modulus_bytes(), 0xFF);
+  window[1].kind = protocol::PkJob::Kind::kRsaDecrypt;
+  window[1].private_key = &server_key_->priv;
+  window[1].input =
+      crypto::rsa_encrypt_pkcs1(server_key_->pub, premaster, rng);
+  window[2] = sign_job(9);
+  window[3].kind = protocol::PkJob::Kind::kRsaVerify;
+  window[3].public_key = server_key_->pub;
+  window[3].input = signed_content;
+  window[3].signature =
+      crypto::rsa_sign_sha1(server_key_->priv, signed_content);
+
+  std::vector<protocol::PkResult> expected;
+  for (const protocol::PkJob& job : window)
+    expected.push_back(protocol::run_pk_job(job));
+  ASSERT_FALSE(expected[0].decrypted.has_value());
+  ASSERT_EQ(expected[1].decrypted, premaster);
+  ASSERT_TRUE(expected[3].valid);
+
+  for (const bool stall : {false, true}) {
+    SCOPED_TRACE(stall ? "stall-steal path" : "worker path");
+    net::EventQueue queue;
+    engine::OffloadEngine engine(queue, 1, {},
+                                 /*steal_timeout_ms=*/stall ? 25 : 60'000,
+                                 /*batch_width=*/4);
+    if (stall) engine.inject_worker_stall(0, 400'000'000);  // 400 ms/window
+    // The first job occupies the idle lane, so the four behind it queue
+    // into one window.
+    engine.submit(sign_job(1), [](const protocol::PkResult&) {});
+    std::vector<protocol::PkResult> got;
+    for (const protocol::PkJob& job : window)
+      engine.submit(job,
+                    [&](const protocol::PkResult& r) { got.push_back(r); });
+    queue.run_all();
+
+    EXPECT_EQ(engine.stats().max_batch_fill, 4u);
+    EXPECT_EQ(engine.stats().batched_jobs, 4u);
+    if (stall) {
+      EXPECT_GE(engine.stats().stolen, 4u);  // the mixed window was stolen
+    } else {
+      EXPECT_EQ(engine.stats().stolen, 0u);
+    }
+    ASSERT_EQ(got.size(), window.size());
+    for (std::size_t i = 0; i < window.size(); ++i) {
+      EXPECT_EQ(got[i].kind, expected[i].kind) << "job " << i;
+      EXPECT_EQ(got[i].decrypted, expected[i].decrypted) << "job " << i;
+      EXPECT_EQ(got[i].signature, expected[i].signature) << "job " << i;
+      EXPECT_EQ(got[i].valid, expected[i].valid) << "job " << i;
+    }
+  }
+}
+
 // --------------------------------------------- fleet-level determinism
 
 // The offload determinism contract: for any worker count — and for
