@@ -53,6 +53,23 @@ void BM_Des3(benchmark::State& state) { bulk_cipher_bench<Des3>(state, 24); }
 void BM_Aes128(benchmark::State& state) { bulk_cipher_bench<Aes>(state, 16); }
 void BM_Rc2(benchmark::State& state) { bulk_cipher_bench<Rc2>(state, 16); }
 
+// The record-open path: 4 KiB of 3DES-CBC decrypted in place through the
+// BlockCipher interface, padding check included. Each iteration restores
+// the ciphertext first (a 4 KiB copy, under 1% of the decryption).
+void BM_Des3CbcDecrypt(benchmark::State& state) {
+  HmacDrbg rng(1);
+  const auto cipher = make_block_cipher(Des3(rng.bytes(24)));
+  const Bytes iv = rng.bytes(8);
+  const Bytes ct = cbc_encrypt(*cipher, iv, test_data(4095));
+  Bytes buf(ct.size());
+  for (auto _ : state) {
+    std::copy(ct.begin(), ct.end(), buf.begin());
+    benchmark::DoNotOptimize(cbc_decrypt_in_place(*cipher, iv, buf));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(buf.size()));
+}
+
 void BM_Aes128Scalar(benchmark::State& state) {
   ForceScalar scalar;
   bulk_cipher_bench<Aes>(state, 16);
@@ -313,6 +330,7 @@ void BM_Rsa512KeyGen(benchmark::State& state) {
 
 BENCHMARK(BM_Des);
 BENCHMARK(BM_Des3);
+BENCHMARK(BM_Des3CbcDecrypt);
 BENCHMARK(BM_Aes128);
 BENCHMARK(BM_Aes128Scalar);
 BENCHMARK(BM_AesCcmSeal);

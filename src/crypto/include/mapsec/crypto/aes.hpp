@@ -48,6 +48,12 @@ class Aes {
   void encrypt_block(const std::uint8_t* in, std::uint8_t* out) const;
   void decrypt_block(const std::uint8_t* in, std::uint8_t* out) const;
 
+  /// CBC-decrypt `nblocks` whole blocks of `data` in place, chaining from
+  /// the 16-byte `iv` (no padding handling). Runs the dispatch layer's
+  /// multi-block kernel when the backend has one, else decrypt_block.
+  void cbc_decrypt(const std::uint8_t* iv, std::uint8_t* data,
+                   std::size_t nblocks) const;
+
   /// Number of rounds (10/12/14 for 128/192/256-bit keys).
   int rounds() const { return rounds_; }
 

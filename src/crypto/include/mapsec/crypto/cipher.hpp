@@ -25,10 +25,17 @@ class BlockCipher {
   virtual void encrypt_block(const std::uint8_t* in, std::uint8_t* out) const = 0;
   virtual void decrypt_block(const std::uint8_t* in, std::uint8_t* out) const = 0;
 
+  /// CBC-decrypt `nblocks` whole blocks of `data` in place, chaining from
+  /// `iv` (block_size() bytes; no padding handling). The default is the
+  /// serial decrypt_block loop; ciphers with a span-level CBC decryption
+  /// (Des3's multi-lane round, AES's dispatch kernel) override it.
+  virtual void cbc_decrypt_blocks(const std::uint8_t* iv, std::uint8_t* data,
+                                  std::size_t nblocks) const;
+
   /// Downcast hook for the dispatch layer: when the wrapped cipher is AES
-  /// the span-based modes (CTR, CBC-MAC, CBC decrypt) can hand the whole
-  /// buffer to a hardware kernel instead of calling the virtual per-block
-  /// interface. Non-AES ciphers return nullptr and take the generic path.
+  /// the span-based modes (CTR, CBC-MAC) can hand the whole buffer to a
+  /// hardware kernel instead of calling the virtual per-block interface.
+  /// Non-AES ciphers return nullptr and take the generic path.
   virtual const Aes* as_aes() const { return nullptr; }
 };
 
@@ -44,6 +51,13 @@ class BlockCipherAdapter final : public BlockCipher {
   }
   void decrypt_block(const std::uint8_t* in, std::uint8_t* out) const override {
     cipher_.decrypt_block(in, out);
+  }
+  void cbc_decrypt_blocks(const std::uint8_t* iv, std::uint8_t* data,
+                          std::size_t nblocks) const override {
+    if constexpr (requires { cipher_.cbc_decrypt(iv, data, nblocks); })
+      cipher_.cbc_decrypt(iv, data, nblocks);
+    else
+      BlockCipher::cbc_decrypt_blocks(iv, data, nblocks);
   }
   const Aes* as_aes() const override {
     if constexpr (std::is_same_v<C, Aes>) return &cipher_;

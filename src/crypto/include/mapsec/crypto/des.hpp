@@ -9,7 +9,12 @@
 //     E as shift-and-mask extractions against round keys stored pre-split
 //     into 6-bit chunks, and S-then-P as two lookups per S-box into rows of
 //     one 64-byte cache line each (DesSboxRow, DesSpreadRow). `Des3` runs
-//     EDE as one IP, 48 rounds and one FP.
+//     EDE as one IP, 48 rounds and one FP. Its CBC decryption runs that
+//     round over several independent blocks in lock-step (a multi-lane
+//     round): CBC decryption has no dependency from one block to the
+//     next, so the lanes' table loads overlap instead of each round
+//     waiting on its own. The lanes use the same rows and the same round
+//     keys, so every lookup still stays inside one cache line.
 //   * The `des_detail` namespace is the bit-serial reference: it
 //     deliberately exposes the round structure (key schedule, expansion,
 //     S-boxes, permutations) one FIPS table at a time. The attack::dpa
@@ -115,9 +120,10 @@ class Des {
   };
 
   /// The 16 rounds on IP'd halves (L0, R0), ending with the half swap, so
-  /// (l, r) leave as the FP input -- or as the next DES's IP output.
-  template <bool Decrypt>
-  void rounds(std::uint32_t& l, std::uint32_t& r) const;
+  /// (l, r) leave as the FP input -- or as the next DES's IP output. Runs
+  /// `N` independent blocks (lanes) in lock-step, round by round.
+  template <bool Decrypt, std::size_t N>
+  void rounds(std::uint32_t (&l)[N], std::uint32_t (&r)[N]) const;
 
   std::array<RoundKey, 16> rk_;
 };
@@ -133,6 +139,17 @@ class Des3 {
 
   void encrypt_block(const std::uint8_t* in, std::uint8_t* out) const;
   void decrypt_block(const std::uint8_t* in, std::uint8_t* out) const;
+
+  /// CBC-decrypt `nblocks` whole blocks of `data` in place, chaining from
+  /// the 8-byte `iv` (no padding handling). Output equals decrypt_block
+  /// per block XOR the previous ciphertext; full groups of kCbcLanes
+  /// blocks run the multi-lane round, the remainder runs decrypt_block.
+  void cbc_decrypt(const std::uint8_t* iv, std::uint8_t* data,
+                   std::size_t nblocks) const;
+
+  /// Blocks decrypted in lock-step by cbc_decrypt. Fixed: picked from a
+  /// lane sweep (EXPERIMENTS.md E27), not a tuning knob.
+  static constexpr std::size_t kCbcLanes = 4;
 
  private:
   Des k1_, k2_, k3_;

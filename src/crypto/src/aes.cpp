@@ -182,6 +182,27 @@ void Aes::decrypt_block(const std::uint8_t* in, std::uint8_t* out) const {
                                         out);
 }
 
+void Aes::cbc_decrypt(const std::uint8_t* iv, std::uint8_t* data,
+                      std::size_t nblocks) const {
+  const auto& k = dispatch::aes_kernels();
+  if (k.cbc_decrypt != nullptr) {
+    // CBC decryption has no inter-block dependency on the plaintext side,
+    // so the kernel decrypts several blocks in flight.
+    k.cbc_decrypt(dispatch::dec_schedule(*this), iv, data, nblocks);
+    return;
+  }
+  std::uint8_t chain[kBlockSize];
+  std::uint8_t saved[kBlockSize];
+  std::memcpy(chain, iv, kBlockSize);
+  for (std::size_t b = 0; b < nblocks; ++b) {
+    std::uint8_t* blk = data + b * kBlockSize;
+    std::memcpy(saved, blk, kBlockSize);
+    k.decrypt_block(dispatch::dec_schedule(*this), blk, blk);
+    for (std::size_t i = 0; i < kBlockSize; ++i) blk[i] ^= chain[i];
+    std::memcpy(chain, saved, kBlockSize);
+  }
+}
+
 namespace dispatch {
 
 // The pre-dispatch T-table implementations, now the scalar kernels.
@@ -275,9 +296,10 @@ void aes_decrypt_scalar(const AesSchedule& s, const std::uint8_t* in,
   store_be32(out + 12, last(s3, s2, s1, s0, rk[3]));
 }
 
-// The scalar table leaves the span kernels null: ctr_crypt / cbc_mac /
-// cbc_decrypt_in_place keep their original generic loops on this backend,
-// so forcing scalar exercises literally the pre-dispatch code paths.
+// The scalar table leaves the span kernels null: ctr_crypt / cbc_mac keep
+// their original generic loops on this backend and Aes::cbc_decrypt runs
+// decrypt_block block by block, so forcing scalar exercises the
+// pre-dispatch code paths.
 const AesKernels kAesScalar = {"scalar", aes_encrypt_scalar,
                                aes_decrypt_scalar, nullptr, nullptr,
                                nullptr};

@@ -3,8 +3,6 @@
 #include <cstring>
 #include <stdexcept>
 
-#include "kernels.hpp"
-
 namespace mapsec::crypto {
 
 namespace {
@@ -13,6 +11,24 @@ namespace {
 constexpr std::size_t kMaxBlockSize = 32;
 
 }  // namespace
+
+void BlockCipher::cbc_decrypt_blocks(const std::uint8_t* iv,
+                                     std::uint8_t* data,
+                                     std::size_t nblocks) const {
+  const std::size_t bs = block_size();
+  if (bs > kMaxBlockSize)
+    throw std::invalid_argument("cbc_decrypt: block size too large");
+  std::uint8_t chain[kMaxBlockSize];
+  std::uint8_t saved[kMaxBlockSize];
+  std::memcpy(chain, iv, bs);
+  for (std::size_t b = 0; b < nblocks; ++b) {
+    std::uint8_t* blk = data + b * bs;
+    std::memcpy(saved, blk, bs);  // ciphertext block, needed as next chain
+    decrypt_block(blk, blk);
+    for (std::size_t i = 0; i < bs; ++i) blk[i] ^= chain[i];
+    std::memcpy(chain, saved, bs);
+  }
+}
 
 std::size_t cbc_encrypt_into(const BlockCipher& cipher, ConstBytes iv,
                              ConstBytes plaintext,
@@ -61,30 +77,7 @@ std::size_t cbc_decrypt_in_place(const BlockCipher& cipher, ConstBytes iv,
   if (data.empty() || data.size() % bs != 0)
     throw std::runtime_error("cbc_decrypt: ciphertext not a block multiple");
 
-  const dispatch::AesKernels* span_kernel = nullptr;
-  const Aes* aes = cipher.as_aes();
-  if (aes != nullptr && bs == 16) {
-    const auto& k = dispatch::aes_kernels();
-    if (k.cbc_decrypt != nullptr) span_kernel = &k;
-  }
-
-  if (span_kernel != nullptr) {
-    // Hardware path: CBC decryption has no inter-block dependency on the
-    // plaintext side, so the kernel decrypts several blocks in flight.
-    span_kernel->cbc_decrypt(dispatch::dec_schedule(*aes), iv.data(),
-                             data.data(), data.size() / 16);
-  } else {
-    std::uint8_t chain[kMaxBlockSize];
-    std::uint8_t saved[kMaxBlockSize];
-    std::memcpy(chain, iv.data(), bs);
-    for (std::size_t off = 0; off < data.size(); off += bs) {
-      std::uint8_t* blk = data.data() + off;
-      std::memcpy(saved, blk, bs);  // ciphertext block, needed as next chain
-      cipher.decrypt_block(blk, blk);
-      for (std::size_t i = 0; i < bs; ++i) blk[i] ^= chain[i];
-      std::memcpy(chain, saved, bs);
-    }
-  }
+  cipher.cbc_decrypt_blocks(iv.data(), data.data(), data.size() / bs);
 
   const std::uint8_t pad = data.back();
   if (pad == 0 || pad > bs) throw std::runtime_error("cbc_decrypt: bad padding");

@@ -235,6 +235,17 @@ namespace {
 // data-dependent index therefore stays inside one line, as it does in the
 // reference kSbox rows; merged 256-byte S-and-P rows would be faster but
 // would spread each secret index over four lines.
+//
+// A round is two dependent loads deep per S-box and each round needs the
+// previous one, so one block at a time is bound by load latency, not by
+// throughput. Des::rounds therefore takes N blocks (lanes) and runs them
+// in lock-step: each round computes the same feistel() for every lane
+// before moving on, so the lanes' loads are in flight together. Only the
+// schedule of the work changes: every lane indexes the same
+// one-line rows with the same kind of 6-bit or 4-bit index, so the
+// one-line-per-row property holds for each lookup exactly as in the
+// single-block round. Des3::cbc_decrypt is the one multi-lane caller,
+// since CBC decryption (unlike CBC encryption) has independent blocks.
 
 static_assert(sizeof(DesSboxRow) == 64 && alignof(DesSboxRow) == 64);
 static_assert(sizeof(DesSpreadRow) == 64 && alignof(DesSpreadRow) == 64);
@@ -342,29 +353,31 @@ des_detail::KeySchedule Des::schedule() const {
   return ks;
 }
 
-template <bool Decrypt>
-void Des::rounds(std::uint32_t& l, std::uint32_t& r) const {
+template <bool Decrypt, std::size_t N>
+void Des::rounds(std::uint32_t (&l)[N], std::uint32_t (&r)[N]) const {
   for (int i = 0; i < 16; i += 2) {
     const RoundKey& k1 = rk_[Decrypt ? 15 - i : i];
     const RoundKey& k2 = rk_[Decrypt ? 14 - i : i + 1];
-    l ^= feistel(r, k1.s1357, k1.s2468);
-    r ^= feistel(l, k2.s1357, k2.s2468);
+    for (std::size_t j = 0; j < N; ++j)
+      l[j] ^= feistel(r[j], k1.s1357, k1.s2468);
+    for (std::size_t j = 0; j < N; ++j)
+      r[j] ^= feistel(l[j], k2.s1357, k2.s2468);
   }
-  std::swap(l, r);
+  for (std::size_t j = 0; j < N; ++j) std::swap(l[j], r[j]);
 }
 
 void Des::encrypt_block(const std::uint8_t* in, std::uint8_t* out) const {
-  std::uint32_t l, r;
-  swap_move_ip(load_be64(in), l, r);
+  std::uint32_t l[1], r[1];
+  swap_move_ip(load_be64(in), l[0], r[0]);
   rounds<false>(l, r);
-  store_be64(out, swap_move_fp(l, r));
+  store_be64(out, swap_move_fp(l[0], r[0]));
 }
 
 void Des::decrypt_block(const std::uint8_t* in, std::uint8_t* out) const {
-  std::uint32_t l, r;
-  swap_move_ip(load_be64(in), l, r);
+  std::uint32_t l[1], r[1];
+  swap_move_ip(load_be64(in), l[0], r[0]);
   rounds<true>(l, r);
-  store_be64(out, swap_move_fp(l, r));
+  store_be64(out, swap_move_fp(l[0], r[0]));
 }
 
 namespace {
@@ -384,21 +397,51 @@ Des3::Des3(ConstBytes key)
 // the IP starting the next cancel, leaving only the half swap that
 // rounds() already performs.
 void Des3::encrypt_block(const std::uint8_t* in, std::uint8_t* out) const {
-  std::uint32_t l, r;
-  swap_move_ip(load_be64(in), l, r);
+  std::uint32_t l[1], r[1];
+  swap_move_ip(load_be64(in), l[0], r[0]);
   k1_.rounds<false>(l, r);
   k2_.rounds<true>(l, r);
   k3_.rounds<false>(l, r);
-  store_be64(out, swap_move_fp(l, r));
+  store_be64(out, swap_move_fp(l[0], r[0]));
 }
 
 void Des3::decrypt_block(const std::uint8_t* in, std::uint8_t* out) const {
-  std::uint32_t l, r;
-  swap_move_ip(load_be64(in), l, r);
+  std::uint32_t l[1], r[1];
+  swap_move_ip(load_be64(in), l[0], r[0]);
   k3_.rounds<true>(l, r);
   k2_.rounds<false>(l, r);
   k1_.rounds<true>(l, r);
-  store_be64(out, swap_move_fp(l, r));
+  store_be64(out, swap_move_fp(l[0], r[0]));
+}
+
+void Des3::cbc_decrypt(const std::uint8_t* iv, std::uint8_t* data,
+                       std::size_t nblocks) const {
+  constexpr std::size_t N = kCbcLanes;
+  std::uint64_t chain = load_be64(iv);
+  std::size_t b = 0;
+  for (; b + N <= nblocks; b += N) {
+    std::uint8_t* p = data + b * kBlockSize;
+    std::uint64_t c[N];
+    std::uint32_t l[N], r[N];
+    for (std::size_t j = 0; j < N; ++j) {
+      c[j] = load_be64(p + j * kBlockSize);
+      swap_move_ip(c[j], l[j], r[j]);
+    }
+    k3_.rounds<true>(l, r);
+    k2_.rounds<false>(l, r);
+    k1_.rounds<true>(l, r);
+    for (std::size_t j = 0; j < N; ++j) {
+      store_be64(p + j * kBlockSize, swap_move_fp(l[j], r[j]) ^ chain);
+      chain = c[j];
+    }
+  }
+  for (; b < nblocks; ++b) {
+    std::uint8_t* p = data + b * kBlockSize;
+    const std::uint64_t c = load_be64(p);
+    decrypt_block(p, p);
+    store_be64(p, load_be64(p) ^ chain);
+    chain = c;
+  }
 }
 
 }  // namespace mapsec::crypto

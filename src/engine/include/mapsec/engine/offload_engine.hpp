@@ -27,6 +27,11 @@
 //     stolen result is bit-identical and simulated behaviour is entirely
 //     unaffected — graceful degradation instead of deadlock.
 //
+// A job that throws (a malformed PkJob, e.g. a decrypt with no key) is
+// caught on whichever thread ran it and completes like any other, with
+// PkResult::error set and OffloadStats::failed counted; resume_pk() then
+// fails only that handshake. No exception crosses a worker thread.
+//
 // Each worker thread owns a crypto::MontCache, so every lane pays the
 // per-key Montgomery setup (R^2 mod n, n') once and reuses it across
 // every handshake under the same server key.
@@ -91,6 +96,7 @@ struct OffloadCosts {
 struct OffloadStats {
   std::uint64_t submitted = 0;
   std::uint64_t completed = 0;
+  std::uint64_t failed = 0;  // completed with PkResult::error set
   std::uint64_t stolen = 0;  // recomputed inline after a wall-clock stall
   std::size_t peak_depth = 0;         // max jobs in flight simultaneously
   std::uint64_t queue_wait_us = 0;    // modeled wait for a free lane, total

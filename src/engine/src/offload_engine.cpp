@@ -3,20 +3,38 @@
 #include <algorithm>
 #include <chrono>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace mapsec::engine {
 
 namespace {
 
+protocol::PkResult failed_result(const protocol::PkJob& job,
+                                 std::string error) {
+  protocol::PkResult r;
+  r.kind = job.kind;
+  r.error = std::move(error);
+  return r;
+}
+
 // A window executes job by job through the serial CRT operation; the
-// batch exists only in the modeled window price.
+// batch exists only in the modeled window price. It runs on worker
+// threads and in the steal path, so a job that throws becomes a failed
+// result for that job alone instead of escaping the thread.
 std::vector<protocol::PkResult> run_window(
     const std::vector<protocol::PkJob>& jobs, crypto::MontCache* cache) {
   std::vector<protocol::PkResult> results;
   results.reserve(jobs.size());
-  for (const protocol::PkJob& job : jobs)
-    results.push_back(protocol::run_pk_job(job, cache));
+  for (const protocol::PkJob& job : jobs) {
+    try {
+      results.push_back(protocol::run_pk_job(job, cache));
+    } catch (const std::exception& e) {
+      results.push_back(failed_result(job, e.what()));
+    } catch (...) {
+      results.push_back(failed_result(job, "unknown exception"));
+    }
+  }
   return results;
 }
 
@@ -144,6 +162,8 @@ void OffloadEngine::close_batch(std::size_t lane) {
           stats_.stolen += pending->jobs.size();
         }
         stats_.completed += results.size();
+        for (const protocol::PkResult& r : results)
+          if (!r.error.empty()) stats_.failed += 1;
         in_flight_ -= results.size();
         // Per-job callbacks fire in submission order at the window's
         // single completion instant.

@@ -93,6 +93,9 @@ struct PkResult {
   std::optional<crypto::Bytes> decrypted;  // kRsaDecrypt (nullopt = bad pad)
   crypto::Bytes signature;                 // kRsaSign
   bool valid = false;                      // kRsaVerify
+  /// Non-empty when the job threw instead of completing (e.g. a job with
+  /// no key); resume_pk() then fails the handshake it belongs to.
+  std::string error;
 };
 
 /// Execute a job. Deterministic and side-effect free; safe to run on any

@@ -1302,6 +1302,8 @@ struct TlsServer::Impl {
     const PkWait wait = pk_wait;
     pending_job.reset();
     pk_wait = PkWait::kNone;
+    if (!result.error.empty())
+      throw HandshakeError("resume_pk: operation failed: " + result.error);
     switch (wait) {
       case PkWait::kSkeSign: {
         c.summary.rsa_private_ops += 1;

@@ -9,6 +9,8 @@
 #include "mapsec/crypto/rc2.hpp"
 #include "mapsec/crypto/rc4.hpp"
 #include "mapsec/crypto/rng.hpp"
+#include "mapsec/protocol/record.hpp"
+#include "mapsec/protocol/suites.hpp"
 
 namespace mapsec::crypto {
 namespace {
@@ -344,6 +346,157 @@ TEST(CbcModeTest, RejectsMalformedInput) {
   EXPECT_THROW(cbc_decrypt(*cipher, iv, Bytes{}), std::runtime_error);
   EXPECT_THROW(cbc_encrypt(*cipher, Bytes(8), Bytes(16)),
                std::invalid_argument);
+}
+
+// ---- 3DES-CBC decryption, multi-lane -----------------------------------------
+
+// Bit-serial 3DES-EDE decryption of one block, from des_detail alone.
+std::uint64_t oracle_des3_decrypt(const Bytes& key, std::uint64_t block) {
+  const auto des = [](std::uint64_t x, const des_detail::KeySchedule& ks) {
+    x = des_detail::initial_permutation(x);
+    std::uint32_t l = static_cast<std::uint32_t>(x >> 32);
+    std::uint32_t r = static_cast<std::uint32_t>(x);
+    for (int round = 0; round < 16; ++round) {
+      const std::uint32_t next_r = l ^ des_detail::feistel(r, ks[round]);
+      l = r;
+      r = next_r;
+    }
+    return des_detail::final_permutation((std::uint64_t{r} << 32) | l);
+  };
+  const auto k1 = des_detail::key_schedule({key.data(), 8});
+  const auto k2 = des_detail::key_schedule({key.data() + 8, 8});
+  const auto k3 =
+      key.size() == 24 ? des_detail::key_schedule({key.data() + 16, 8}) : k1;
+  return des(des(des(block, des_detail::reverse(k3)), k2),
+             des_detail::reverse(k1));
+}
+
+// Serial CBC decryption, one decrypt_block at a time, or through the
+// bit-serial oracle.
+Bytes serial_cbc_decrypt(const Bytes& key, const Bytes& iv, const Bytes& ct,
+                         bool oracle) {
+  const Des3 des3(key);
+  Bytes out(ct.size());
+  std::uint64_t chain = load_be64(iv.data());
+  for (std::size_t off = 0; off < ct.size(); off += 8) {
+    const std::uint64_t c = load_be64(ct.data() + off);
+    std::uint64_t p;
+    if (oracle) {
+      p = oracle_des3_decrypt(key, c);
+    } else {
+      des3.decrypt_block(ct.data() + off, out.data() + off);
+      p = load_be64(out.data() + off);
+    }
+    store_be64(out.data() + off, p ^ chain);
+    chain = c;
+  }
+  return out;
+}
+
+// 1-9 blocks: every tail length behind zero, one and two full lane groups.
+TEST(Des3CbcLaneTest, MatchesSerialLoopAndBitSerialOracle) {
+  static_assert(Des3::kCbcLanes == 4);
+  SimTrng rng(0x3DE5);
+  for (const std::size_t key_len : {16u, 24u}) {
+    for (std::size_t nblocks = 1; nblocks <= 9; ++nblocks) {
+      SCOPED_TRACE(testing::Message() << key_len << "-byte key, " << nblocks
+                                      << " blocks");
+      const Bytes key = rng.bytes(key_len);
+      const Bytes iv = rng.bytes(8);
+      const Bytes ct = rng.bytes(8 * nblocks);
+      const Bytes expected = serial_cbc_decrypt(key, iv, ct, false);
+      EXPECT_EQ(serial_cbc_decrypt(key, iv, ct, true), expected);
+
+      Bytes lanes = ct;
+      Des3(key).cbc_decrypt(iv.data(), lanes.data(), nblocks);
+      EXPECT_EQ(lanes, expected);
+
+      Bytes via_interface = ct;
+      make_block_cipher(Des3(key))->cbc_decrypt_blocks(
+          iv.data(), via_interface.data(), nblocks);
+      EXPECT_EQ(via_interface, expected);
+    }
+  }
+}
+
+// cbc_decrypt_in_place over cbc_encrypt output: 1-11 blocks, both key
+// sizes, decrypted in the ciphertext's own buffer.
+TEST(Des3CbcLaneTest, InPlaceDecryptInvertsEncrypt) {
+  SimTrng rng(0xC8C);
+  for (const std::size_t key_len : {16u, 24u}) {
+    const auto cipher = make_block_cipher(Des3(rng.bytes(key_len)));
+    const Bytes iv = rng.bytes(8);
+    for (std::size_t len = 0; len <= 87; ++len) {
+      const Bytes pt = rng.bytes(len);
+      Bytes buf = cbc_encrypt(*cipher, iv, pt);
+      const std::size_t n = cbc_decrypt_in_place(*cipher, iv, buf);
+      ASSERT_EQ(n, len) << key_len << "-byte key";
+      EXPECT_TRUE(std::equal(pt.begin(), pt.end(), buf.begin()))
+          << key_len << "-byte key, length " << len;
+    }
+  }
+}
+
+TEST(Des3CbcLaneTest, RejectsBadLengthAndBadPadding) {
+  SimTrng rng(0xBAD);
+  const Des3 des3(rng.bytes(24));
+  const auto cipher = make_block_cipher(des3);
+  const Bytes iv = rng.bytes(8);
+  for (const std::size_t len : {0u, 7u, 33u})
+    EXPECT_THROW(cbc_decrypt(*cipher, iv, Bytes(len)), std::runtime_error)
+        << len;
+
+  // CBC-encrypt whole blocks with no padding, so the decrypted final
+  // block carries whatever pad bytes the test chose: all-lane groups
+  // (4, 8 blocks) and lane groups plus a serial tail (5, 6 blocks).
+  const auto raw_cbc = [&](Bytes pt) {
+    std::uint64_t chain = load_be64(iv.data());
+    for (std::size_t off = 0; off < pt.size(); off += 8) {
+      store_be64(pt.data() + off, load_be64(pt.data() + off) ^ chain);
+      des3.encrypt_block(pt.data() + off, pt.data() + off);
+      chain = load_be64(pt.data() + off);
+    }
+    return pt;
+  };
+  for (const std::size_t nblocks : {4u, 5u, 6u, 8u}) {
+    for (const Bytes& tail : {from_hex("0000000000000000"),
+                              from_hex("0909090909090909"),
+                              from_hex("0000000000000303")}) {
+      Bytes pt = rng.bytes(8 * nblocks);
+      std::copy(tail.begin(), tail.end(), pt.end() - 8);
+      EXPECT_THROW(cbc_decrypt(*cipher, iv, raw_cbc(pt)), std::runtime_error)
+          << nblocks << " blocks, tail " << to_hex(tail);
+      // The same blocks with a valid final pad decrypt to their plaintext.
+      std::fill(pt.end() - 2, pt.end(), 0x02);
+      EXPECT_EQ(cbc_decrypt(*cipher, iv, raw_cbc(pt)),
+                Bytes(pt.begin(), pt.end() - 2));
+    }
+  }
+}
+
+// The record-open path: a 3DES-CBC-SHA RecordCodec pair at every fragment
+// size 0-64 B and at the 4 KiB bulk size.
+TEST(Des3CbcLaneTest, RecordCodecRoundTripAcrossFragmentSizes) {
+  using namespace mapsec::protocol;
+  const SuiteInfo& suite = suite_info(CipherSuite::kRsa3DesEdeCbcSha);
+  HmacDrbg rng(0x3D);
+  const Bytes enc_key = rng.bytes(suite.key_len);
+  const Bytes mac_key = rng.bytes(suite.mac_len);
+  const Bytes iv = rng.bytes(suite.block_len);
+  RecordCodec tx, rx;
+  tx.activate(suite, enc_key, mac_key, iv);
+  rx.activate(suite, enc_key, mac_key, iv);
+  std::vector<std::size_t> sizes;
+  for (std::size_t n = 0; n <= 64; ++n) sizes.push_back(n);
+  sizes.push_back(4096);
+  for (const std::size_t n : sizes) {
+    const Bytes payload = rng.bytes(n);
+    const Bytes wire =
+        tx.seal(RecordType::kApplicationData, ProtocolVersion::kTls10, payload);
+    const Record rec = rx.open(wire);
+    EXPECT_EQ(rec.type, RecordType::kApplicationData) << n;
+    EXPECT_EQ(rec.payload, payload) << n;
+  }
 }
 
 TEST(EcbModeTest, RoundTripAndBlockIndependence) {

@@ -355,7 +355,9 @@ TEST(DispatchTest, CcmBatchMatchesSingleOpAndRejectsTamper) {
                                       tag_lens[i]))
             << "lane " << i;
         EXPECT_TRUE(opened[i].has_value()) << "lane " << i;
-        if (opened[i]) EXPECT_EQ(*opened[i], pts[i]) << "lane " << i;
+        if (opened[i]) {
+          EXPECT_EQ(*opened[i], pts[i]) << "lane " << i;
+        }
       }
       // Flip one byte in one lane: only that lane fails, neighbours in
       // the same multi-buffer pass stay intact.

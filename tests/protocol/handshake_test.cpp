@@ -648,6 +648,25 @@ TEST_F(HandshakeTest, AsyncPkResumeWithoutPendingJobThrows) {
   EXPECT_THROW(server.resume_pk(PkResult{}), HandshakeError);
 }
 
+// A failed offload result (the job threw on the accelerator) fails the
+// suspended handshake instead of resuming it.
+TEST_F(HandshakeTest, AsyncPkFailedResultFailsTheHandshake) {
+  crypto::HmacDrbg crng(110), srng(111);
+  HandshakeConfig scfg = server_config(srng);
+  scfg.async_pk = true;
+  TlsClient client(client_config(crng));
+  TlsServer server(scfg);
+  const Bytes f1 = server.process(client.process({}));
+  const HandshakeStep step = step_handshake(server, client.process(f1));
+  ASSERT_TRUE(step.pk_pending);
+  PkResult failed;
+  failed.kind = server.pending_pk_job().kind;
+  failed.error = "run_pk_job: decrypt without a private key";
+  EXPECT_THROW(server.resume_pk(failed), HandshakeError);
+  EXPECT_FALSE(server.pk_pending());
+  EXPECT_FALSE(server.established());
+}
+
 TEST_F(HandshakeTest, RunHandshakeServicesAsyncServer) {
   crypto::HmacDrbg crng(108), srng(109);
   HandshakeConfig scfg = server_config(srng);

@@ -315,6 +315,49 @@ TEST_F(ServerOffloadTest, MixedKindWindowMatchesRunPkJob) {
   }
 }
 
+// A job that throws inside run_pk_job (a decrypt with no key) completes
+// as a failed result on the worker path and on the steal path, the
+// engine keeps serving, and the books balance.
+TEST_F(ServerOffloadTest, ThrowingJobCompletesAsFailedResult) {
+  protocol::PkJob bad;
+  bad.kind = protocol::PkJob::Kind::kRsaDecrypt;
+  bad.private_key = nullptr;
+  bad.input = Bytes(64, 0x11);
+  const protocol::PkResult expected_sign = protocol::run_pk_job(sign_job(5));
+
+  for (const bool stall : {false, true}) {
+    SCOPED_TRACE(stall ? "stall-steal path" : "worker path");
+    net::EventQueue queue;
+    engine::OffloadEngine engine(queue, 1, {},
+                                 /*steal_timeout_ms=*/stall ? 25 : 60'000);
+    if (stall) engine.inject_worker_stall(0, 400'000'000);  // 400 ms/window
+    std::vector<protocol::PkResult> got;
+    const auto keep = [&](const protocol::PkResult& r) { got.push_back(r); };
+    engine.submit(bad, keep);
+    engine.submit(sign_job(5), keep);
+    queue.run_all();
+
+    ASSERT_EQ(got.size(), 2u);
+    EXPECT_EQ(got[0].kind, protocol::PkJob::Kind::kRsaDecrypt);
+    EXPECT_FALSE(got[0].decrypted.has_value());
+    EXPECT_NE(got[0].error.find("without a private key"), std::string::npos)
+        << got[0].error;
+    EXPECT_TRUE(got[1].error.empty());
+    EXPECT_EQ(got[1].signature, expected_sign.signature);
+
+    const engine::OffloadStats& st = engine.stats();
+    EXPECT_EQ(st.submitted, 2u);
+    EXPECT_EQ(st.completed, 2u);
+    EXPECT_EQ(st.failed, 1u);
+    EXPECT_EQ(engine.in_flight(), 0u);
+    if (stall) {
+      EXPECT_EQ(st.stolen, 2u);
+    } else {
+      EXPECT_EQ(st.stolen, 0u);
+    }
+  }
+}
+
 // --------------------------------------------- fleet-level determinism
 
 // The offload determinism contract: for any worker count — and for
