@@ -1,7 +1,8 @@
-// Deterministic chaos campaigns: a full serving world (hardened
-// SecureSessionServer + honest client fleet on lossy bearers) plus a
-// FaultPlan scheduled on the SAME EventQueue, run to quiescence, then
-// judged against the survival invariants:
+// Deterministic chaos campaigns: a full serving world (the supervised
+// sharded tier of hardened SecureSessionServers, one shard by default,
+// plus an honest client fleet on lossy bearers) and a FaultPlan scheduled
+// on the same per-shard event queues, run to quiescence, then judged
+// against the survival invariants:
 //
 //   * the event loop survives every fault (no crash, no deadlock — a
 //     poisoned connection fails alone),
@@ -11,7 +12,8 @@
 //   * all connections are closed once the queue drains,
 //   * per-connection memory stayed within its configured bounds,
 //   * the same seed gives a bit-identical outcome for ANY
-//     PacketPipeline worker count (fleet_digest is the witness).
+//     PacketPipeline worker count and shard count (fleet_digest is the
+//     witness).
 //
 // Attack cost is priced through platform::EnergyModel plus the paper's
 // RSA figure (42 mJ/KB on a 128-byte RSA-1024 block ≈ 5.25 mJ/op), so a
@@ -34,18 +36,19 @@ namespace mapsec::chaos {
 struct CampaignConfig {
   std::uint64_t seed = 0xC405C0DE;
 
-  /// 0 = the classic single-event-loop world. >= 1 targets a supervised
-  /// sharded serving tier (server::ShardSupervisor): honest clients bind
-  /// for failover-aware routing (attackers keep the stable hash home — a
-  /// dead shard just doesn't answer their dial), bearer weather is
-  /// scheduled identically on every shard's queue (and rebuilt when a
-  /// crashed shard rejoins), TicketKeyRotation goes through the tier's
-  /// epoch-barrier control channel, and the Shard* lifecycle faults
-  /// (ShardCrash/ShardHang/ShardWorkerStall/ShardOffloadStall) become
-  /// available. Faults that flip process-global state (DispatchFailure,
-  /// RngExhaustion) or stall by bare worker index across every shard
-  /// (WorkerStall, OffloadStall) are rejected with std::invalid_argument.
-  std::size_t shards = 0;
+  /// Serving shards of the supervised tier (server::ShardSupervisor)
+  /// every campaign runs on; must be >= 1. Honest clients bind for
+  /// failover-aware routing (attackers keep the stable hash home — a dead
+  /// shard just doesn't answer their dial), bearer weather is scheduled
+  /// identically on every shard's queue (and rebuilt when a crashed shard
+  /// rejoins), TicketKeyRotation goes through the tier's epoch-barrier
+  /// control channel, and the Shard* lifecycle faults are available. With
+  /// one shard, WorkerStall/OffloadStall act on shard 0 and
+  /// DispatchFailure/RngExhaustion land on its queue at their exact
+  /// instant. With more, those four flip process-global state or name a
+  /// worker with no owning shard, and are rejected with
+  /// std::invalid_argument.
+  std::size_t shards = 1;
   net::SimTime slice_us = 1'000;
   /// Wall-clock budget per slice before the hang watchdog fires (only
   /// consulted when the plan contains a ShardHang).
@@ -139,8 +142,6 @@ class CampaignRunner {
   CampaignReport run();
 
  private:
-  CampaignReport run_sharded();
-
   CampaignConfig config_;
 };
 

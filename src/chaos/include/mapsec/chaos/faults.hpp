@@ -1,13 +1,13 @@
 // Fault catalogue for deterministic chaos campaigns.
 //
 // Each fault is a plain value naming WHAT breaks and WHEN (in simulated
-// microseconds on the campaign's EventQueue). The CampaignRunner turns a
-// FaultPlan into scheduled events on the same queue that drives the
-// server, clients and channels, so an entire campaign — including every
-// injected failure — is a pure function of its seed and plan. The classes
-// map onto the paper's threat surface: bearer outages and fades
-// (Section 2's hostile links), crypto-engine failure and entropy
-// starvation (Section 4's hardware assists), processing stalls
+// microseconds on the campaign's event queues). The CampaignRunner turns
+// a FaultPlan into scheduled events on the same per-shard queues that
+// drive the servers, clients and channels, so an entire campaign —
+// including every injected failure — is a pure function of its seed and
+// plan. The classes map onto the paper's threat surface: bearer outages
+// and fades (Section 2's hostile links), crypto-engine failure and
+// entropy starvation (Section 4's hardware assists), processing stalls
 // (Section 3's MIPS gap), and battery-exhaustion denial of service
 // (Section 3.3 / 3.4).
 #pragma once
@@ -60,7 +60,8 @@ struct BandwidthCollapse {
 /// The accelerated crypto backend "fails" mid-run: dispatch is pinned to
 /// the scalar path (crypto::dispatch::force_scalar), recovering after
 /// `duration_us` (0 = rest of the run). Kernels are bit-identical, so
-/// this must be output-invariant — only costs change.
+/// this must be output-invariant — only costs change. One-shard
+/// campaigns only (the switch is process-global).
 struct DispatchFailure {
   net::SimTime at_us = 0;
   net::SimTime duration_us = 0;
@@ -69,7 +70,8 @@ struct DispatchFailure {
 /// The server's handshake entropy source runs dry: every fill() throws
 /// until the pool is refilled after `duration_us`. Connections that ask
 /// for randomness meanwhile must fail alone (poisoned-connection
-/// containment), never take down the event loop.
+/// containment), never take down the event loop. One-shard campaigns
+/// only (one DRBG cannot feed several shard threads).
 struct RngExhaustion {
   net::SimTime at_us = 0;
   net::SimTime duration_us = 1'000'000;
@@ -77,7 +79,8 @@ struct RngExhaustion {
 
 /// One pipeline worker goes slow (wall-clock stall per batch). The batch
 /// barrier absorbs it: simulated-time outcomes and bytes must be
-/// identical, only host latency changes.
+/// identical, only host latency changes. One-shard campaigns only, where
+/// it is ShardWorkerStall on shard 0.
 struct WorkerStall {
   net::SimTime at_us = 0;
   net::SimTime duration_us = 0;  // 0 = rest of the run
@@ -91,6 +94,7 @@ struct WorkerStall {
 /// recomputed inline, bit-identically — so simulated outcomes are
 /// unchanged; only host latency and the `stolen` counter move. A no-op
 /// when the server runs public-key operations inline (no engine).
+/// One-shard campaigns only, where it is ShardOffloadStall on shard 0.
 struct OffloadStall {
   net::SimTime at_us = 0;
   net::SimTime duration_us = 0;  // 0 = rest of the run

@@ -11,7 +11,7 @@
 #include "mapsec/chaos/exhaustible_rng.hpp"
 #include "mapsec/crypto/dispatch.hpp"
 #include "mapsec/crypto/sha256.hpp"
-#include "mapsec/server/sharded_server.hpp"
+#include "mapsec/server/load_gen.hpp"
 #include "mapsec/server/supervisor.hpp"
 
 namespace mapsec::chaos {
@@ -49,343 +49,48 @@ constexpr std::uint64_t kMemorySlop = 32 * 1024;
 }  // namespace
 
 CampaignReport CampaignRunner::run() {
-  if (config_.shards > 0) return run_sharded();
-
-  for (const Fault& fault : config_.faults) {
-    if (std::get_if<ShardCrash>(&fault) != nullptr ||
-        std::get_if<ShardHang>(&fault) != nullptr ||
-        std::get_if<ShardWorkerStall>(&fault) != nullptr ||
-        std::get_if<ShardOffloadStall>(&fault) != nullptr)
-      throw std::invalid_argument(
-          "chaos: Shard* lifecycle faults need a sharded campaign "
-          "(CampaignConfig::shards >= 1)");
-  }
-
-  DispatchGuard dispatch_guard;
-
-  // Declaration order doubles as lifetime order (see LoadGenerator):
-  // channels outlive server and clients, everything outlives the queue's
-  // drained events.
-  net::EventQueue queue;
-  server::BoundedSessionCache cache(queue, config_.cache);
-  std::vector<std::unique_ptr<net::DuplexChannel>> channels;
-
-  // The server's entropy source is exhaustible — the RngExhaustion fault
-  // drains it live; until then it behaves exactly like a seeded DRBG.
-  ExhaustibleRng server_rng(load_sub_seed(config_.seed, 0x5E4));
-  server::ServerConfig server_config = config_.server;
-  server_config.handshake.rng = &server_rng;
-  server::SecureSessionServer server(queue, server_config, &cache);
-
-  crypto::HmacDrbg client_engine_rng(load_sub_seed(config_.seed, 0xE17));
-  engine::ProtocolEngine client_engine(config_.server.engine_profile,
-                                       &client_engine_rng);
-  client_engine.load_program("ccmp-in", engine::ccmp_inbound_program());
-
-  // ---- bearer weather -------------------------------------------------
-  Weather weather;
-  std::vector<net::LossyChannel*> live_channels;
-
-  auto apply_weather = [&](net::LossyChannel& ch) {
-    net::ChannelConfig& cfg = ch.mutable_config();
-    const net::ChannelConfig& base = config_.channel;
-    cfg.loss_rate = weather.blackout_depth > 0 ? 1.0 : base.loss_rate;
-    cfg.bytes_per_sec = weather.collapsed ? weather.collapse_bytes_per_sec
-                                          : base.bytes_per_sec;
-    cfg.ge_enabled = base.ge_enabled || weather.burst;
-    if (weather.burst) {
-      cfg.ge_p_good_to_bad = weather.ge_p_good_to_bad;
-      cfg.ge_p_bad_to_good = weather.ge_p_bad_to_good;
-      cfg.ge_loss_bad = weather.ge_loss_bad;
-    } else {
-      cfg.ge_p_good_to_bad = base.ge_p_good_to_bad;
-      cfg.ge_p_bad_to_good = base.ge_p_bad_to_good;
-      cfg.ge_loss_bad = base.ge_loss_bad;
-    }
-  };
-  auto reapply_all = [&] {
-    for (net::LossyChannel* ch : live_channels) apply_weather(*ch);
-  };
-
-  // ---- shared connect path -------------------------------------------
-  // Fresh duplex channel per attempt (stale frames can never cross
-  // connections), registered with the weather so faults scheduled later
-  // reach channels created earlier and vice versa.
-  std::uint64_t connect_counter = 0;
-  auto make_link = [&](const net::LinkConfig& link_cfg) {
-    auto channel = std::make_unique<net::DuplexChannel>(
-        queue, config_.channel, config_.channel,
-        load_sub_seed(config_.seed, 0xC4A17 + connect_counter));
-    ++connect_counter;
-    apply_weather(channel->a_to_b());
-    apply_weather(channel->b_to_a());
-    server.accept(channel->b_to_a(), channel->a_to_b());
-    auto link = std::make_unique<net::ReliableLink>(
-        queue, channel->a_to_b(), channel->b_to_a(), link_cfg);
-    live_channels.push_back(&channel->a_to_b());
-    live_channels.push_back(&channel->b_to_a());
-    channels.push_back(std::move(channel));
-    return link;
-  };
-
-  // ---- honest fleet ---------------------------------------------------
-  std::vector<std::unique_ptr<server::SessionClient>> clients;
-  clients.reserve(config_.honest_clients);
-  crypto::HmacDrbg arrival_rng(load_sub_seed(config_.seed, 0xA881));
-  net::SimTime arrival = 0;
-  for (std::size_t i = 0; i < config_.honest_clients; ++i) {
-    auto client = std::make_unique<server::SessionClient>(
-        queue, config_.client, static_cast<std::uint32_t>(i), client_engine,
-        load_sub_seed(config_.seed, 0xC11E57 + i));
-    client->set_connect(
-        [&, link_cfg = config_.client.link](server::SessionClient&) {
-          return make_link(link_cfg);
-        });
-    queue.schedule_at(arrival, [c = client.get()] { c->start(); });
-    arrival +=
-        config_.poisson_arrivals
-            ? load_exponential_us(
-                  arrival_rng,
-                  static_cast<double>(config_.mean_interarrival_us))
-            : config_.mean_interarrival_us;
-    clients.push_back(std::move(client));
-  }
-
-  // ---- fault plan -----------------------------------------------------
-  std::vector<std::unique_ptr<FloodClient>> floods;
-  std::vector<std::unique_ptr<MalformedClient>> vandals;
-  std::uint64_t fault_index = 0;
-
-  for (const Fault& fault : config_.faults) {
-    const std::uint64_t fseed =
-        load_sub_seed(config_.seed, 0xFA017 + fault_index);
-    ++fault_index;
-
-    if (const auto* f = std::get_if<Blackout>(&fault)) {
-      queue.schedule_at(f->at_us, [&] {
-        ++weather.blackout_depth;
-        reapply_all();
-      });
-      queue.schedule_at(f->at_us + f->duration_us, [&] {
-        --weather.blackout_depth;
-        reapply_all();
-      });
-    } else if (const auto* f = std::get_if<BearerFlap>(&fault)) {
-      for (int i = 0; i < f->flaps; ++i) {
-        const net::SimTime start =
-            f->at_us + static_cast<net::SimTime>(i) * f->period_us;
-        queue.schedule_at(start, [&] {
-          ++weather.blackout_depth;
-          reapply_all();
-        });
-        queue.schedule_at(start + f->outage_us, [&] {
-          --weather.blackout_depth;
-          reapply_all();
-        });
-      }
-    } else if (const auto* f = std::get_if<BurstLoss>(&fault)) {
-      queue.schedule_at(f->at_us, [&, p = *f] {
-        weather.burst = true;
-        weather.ge_p_good_to_bad = p.p_good_to_bad;
-        weather.ge_p_bad_to_good = p.p_bad_to_good;
-        weather.ge_loss_bad = p.loss_bad;
-        reapply_all();
-      });
-      if (f->duration_us != 0)
-        queue.schedule_at(f->at_us + f->duration_us, [&] {
-          weather.burst = false;
-          reapply_all();
-        });
-    } else if (const auto* f = std::get_if<BandwidthCollapse>(&fault)) {
-      queue.schedule_at(f->at_us, [&, bps = f->bytes_per_sec] {
-        weather.collapsed = true;
-        weather.collapse_bytes_per_sec = bps;
-        reapply_all();
-      });
-      if (f->duration_us != 0)
-        queue.schedule_at(f->at_us + f->duration_us, [&] {
-          weather.collapsed = false;
-          reapply_all();
-        });
-    } else if (const auto* f = std::get_if<DispatchFailure>(&fault)) {
-      queue.schedule_at(f->at_us,
-                        [] { crypto::dispatch::force_scalar(true); });
-      if (f->duration_us != 0)
-        queue.schedule_at(f->at_us + f->duration_us,
-                          [prev = dispatch_guard.prev] {
-                            crypto::dispatch::force_scalar(prev);
-                          });
-    } else if (const auto* f = std::get_if<RngExhaustion>(&fault)) {
-      queue.schedule_at(f->at_us, [&] { server_rng.exhaust(); });
-      queue.schedule_at(f->at_us + f->duration_us,
-                        [&] { server_rng.refill(); });
-    } else if (const auto* f = std::get_if<WorkerStall>(&fault)) {
-      queue.schedule_at(f->at_us, [&, w = *f] {
-        server.pipeline_for_chaos().inject_worker_stall(w.worker, w.stall_ns);
-      });
-      if (f->duration_us != 0)
-        queue.schedule_at(f->at_us + f->duration_us, [&, w = *f] {
-          server.pipeline_for_chaos().inject_worker_stall(w.worker, 0);
-        });
-    } else if (const auto* f = std::get_if<OffloadStall>(&fault)) {
-      const auto stall_set = [&](const OffloadStall& w, std::uint64_t ns) {
-        engine::OffloadEngine* off = server.offload_for_chaos();
-        if (off == nullptr) return;  // inline pk mode: nothing to stall
-        if (w.all_workers) {
-          for (std::size_t i = 0; i < off->num_workers(); ++i)
-            off->inject_worker_stall(i, ns);
-        } else {
-          off->inject_worker_stall(w.worker, ns);
-        }
-      };
-      queue.schedule_at(f->at_us,
-                        [&, stall_set, w = *f] { stall_set(w, w.stall_ns); });
-      if (f->duration_us != 0)
-        queue.schedule_at(f->at_us + f->duration_us,
-                          [&, stall_set, w = *f] { stall_set(w, 0); });
-    } else if (const auto* f = std::get_if<HandshakeFlood>(&fault)) {
-      for (int a = 0; a < f->attackers; ++a) {
-        FloodConfig fc;
-        fc.handshake = config_.client.handshake;
-        fc.link = config_.client.link;
-        fc.connections = f->connections_each;
-        fc.interarrival_us = f->interarrival_us;
-        fc.reach_key_exchange = f->reach_key_exchange;
-        auto attacker = std::make_unique<FloodClient>(
-            queue, std::move(fc),
-            static_cast<std::uint32_t>(0xF000 + floods.size()),
-            load_sub_seed(fseed, 0xDD05 + a));
-        attacker->set_connect(
-            [&, link_cfg = config_.client.link](FloodClient&) {
-              return make_link(link_cfg);
-            });
-        queue.schedule_at(f->at_us, [p = attacker.get()] { p->start(); });
-        floods.push_back(std::move(attacker));
-      }
-    } else if (const auto* f = std::get_if<MalformedTraffic>(&fault)) {
-      for (int c = 0; c < f->clients; ++c) {
-        MalformedConfig mc;
-        mc.link = config_.client.link;
-        mc.connections = f->connections_each;
-        mc.messages_per_connection = f->messages_per_connection;
-        mc.interarrival_us = f->interarrival_us;
-        mc.message_gap_us = f->message_gap_us;
-        auto vandal = std::make_unique<MalformedClient>(
-            queue, std::move(mc),
-            static_cast<std::uint32_t>(0xBAD0 + vandals.size()),
-            make_seeded_mutator(load_sub_seed(fseed, 0x3AD + c),
-                                config_.client.handshake));
-        vandal->set_connect(
-            [&, link_cfg = config_.client.link](MalformedClient&) {
-              return make_link(link_cfg);
-            });
-        queue.schedule_at(f->at_us, [p = vandal.get()] { p->start(); });
-        vandals.push_back(std::move(vandal));
-      }
-    } else if (const auto* f = std::get_if<TicketKeyRotation>(&fault)) {
-      for (int r = 0; r < f->rotations; ++r) {
-        const net::SimTime when =
-            f->at_us + static_cast<net::SimTime>(r) * f->period_us;
-        queue.schedule_at(when, [&] { server.rotate_ticket_key(); });
-      }
-    }
-  }
-
-  // ---- run ------------------------------------------------------------
-  const std::size_t executed = queue.run_all(config_.max_events);
-
-  // ---- judge ----------------------------------------------------------
-  CampaignReport report;
-  report.server = server.stats();
-  report.drained = executed < config_.max_events;
-  report.open_at_end = server.open_connections();
-  report.conserved = server.stats_conserved();
-  report.degraded_time_us = server.degraded_time_us();
-  report.degraded_transitions = report.server.degraded_transitions;
-  report.sim_duration_s = static_cast<double>(queue.now()) / 1e6;
-
-  crypto::Bytes digest_stream;
-  for (const auto& client : clients) {
-    for (const server::SessionRecord& record : client->sessions()) {
-      ++report.sessions_attempted;
-      if (record.completed) ++report.sessions_completed;
-      if (record.failed) ++report.sessions_failed;
-      if (!record.echo_ok) ++report.echo_mismatches;
-      report.honest_refused_attempts +=
-          static_cast<std::size_t>(record.refused_attempts);
-    }
-    digest_stream.insert(digest_stream.end(),
-                         client->transcript_digest().begin(),
-                         client->transcript_digest().end());
-  }
-  report.fleet_digest = crypto::Sha256::hash(digest_stream);
-
-  for (const auto& flood : floods) {
-    report.attack_connections += flood->stats().connections_opened;
-    report.attack_refused += flood->stats().refused;
-    report.attack_bytes += flood->stats().bytes_sent;
-  }
-  for (const auto& vandal : vandals) {
-    report.attack_connections += vandal->stats().connections_opened;
-    report.malformed_messages += vandal->stats().messages_sent;
-    report.attack_bytes += vandal->stats().bytes_sent;
-  }
-
-  report.handshake_energy_mj =
-      static_cast<double>(report.server.handshake_bytes_rx) / 1024.0 *
-          config_.energy.rx_mj_per_kb +
-      static_cast<double>(report.server.handshake_bytes_tx) / 1024.0 *
-          config_.energy.tx_mj_per_kb +
-      static_cast<double>(report.server.handshake_rsa_private_ops) *
-          config_.rsa_mj_per_op;
-  if (report.attack_bytes > 0)
-    report.mj_per_attack_byte =
-        report.handshake_energy_mj /
-        static_cast<double>(report.attack_bytes);
-
-  // ---- invariants -----------------------------------------------------
-  auto flag = [&](const char* what) {
-    if (!report.invariant_failures.empty())
-      report.invariant_failures += "; ";
-    report.invariant_failures += what;
-  };
-  if (!report.drained) flag("event budget exhausted (possible livelock)");
-  if (report.open_at_end != 0) flag("connections left open after drain");
-  if (!report.conserved) flag("connection accounting not conserved");
-  if (report.echo_mismatches != 0) flag("surviving session echo mismatch");
-  if (config_.server.max_pending_echo_bytes != 0 &&
-      report.server.peak_pending_echo_bytes >
-          config_.server.max_pending_echo_bytes + kMemorySlop)
-    flag("pending-echo memory exceeded its bound");
-  if (config_.server.max_deferred_appdata_bytes != 0 &&
-      report.server.peak_deferred_bytes >
-          config_.server.max_deferred_appdata_bytes + kMemorySlop)
-    flag("deferred-appdata memory exceeded its bound");
-
-  return report;
-}
-
-CampaignReport CampaignRunner::run_sharded() {
+  if (config_.shards == 0)
+    throw std::invalid_argument("chaos: CampaignConfig::shards must be >= 1");
   const std::size_t num_shards = config_.shards;
+  const std::uint64_t seed = config_.seed;
 
-  // Reject faults that cannot be delivered correctly across
-  // concurrently-running shards BEFORE building any world. Stalls have
-  // shard-scoped replacements; the process-global pair has none.
-  for (const Fault& fault : config_.faults) {
-    if (std::get_if<DispatchFailure>(&fault) != nullptr ||
-        std::get_if<RngExhaustion>(&fault) != nullptr)
-      throw std::invalid_argument(
-          "chaos: DispatchFailure/RngExhaustion flip process-global state "
-          "(crypto dispatch, the one exhaustible rng) and cannot be "
-          "delivered at a deterministic simulated instant across "
-          "concurrently-running shards");
-    if (std::get_if<WorkerStall>(&fault) != nullptr ||
-        std::get_if<OffloadStall>(&fault) != nullptr)
-      throw std::invalid_argument(
-          "chaos: WorkerStall/OffloadStall address a worker index with no "
-          "owning shard; use ShardWorkerStall/ShardOffloadStall, which "
-          "ride one shard's own queue");
-    if (const auto* f = std::get_if<ShardCrash>(&fault)) {
+  // Validate the plan BEFORE building any world. With one shard nothing
+  // runs concurrently: the bare-index stalls become shard 0's stalls, and
+  // the process-global pair lands on shard 0's queue at its exact
+  // instant. With several shards those four cannot be delivered
+  // deterministically and are rejected; stalls have shard-scoped
+  // replacements, the process-global pair has none.
+  FaultPlan plan = config_.faults;
+  for (Fault& fault : plan) {
+    if (num_shards > 1) {
+      if (std::get_if<DispatchFailure>(&fault) != nullptr ||
+          std::get_if<RngExhaustion>(&fault) != nullptr)
+        throw std::invalid_argument(
+            "chaos: DispatchFailure/RngExhaustion flip process-global state "
+            "(crypto dispatch, the one exhaustible rng) and cannot be "
+            "delivered at a deterministic simulated instant across "
+            "concurrently-running shards");
+      if (std::get_if<WorkerStall>(&fault) != nullptr ||
+          std::get_if<OffloadStall>(&fault) != nullptr)
+        throw std::invalid_argument(
+            "chaos: WorkerStall/OffloadStall address a worker index with no "
+            "owning shard; use ShardWorkerStall/ShardOffloadStall, which "
+            "ride one shard's own queue");
+    }
+    if (const auto* f = std::get_if<WorkerStall>(&fault)) {
+      fault = ShardWorkerStall{.at_us = f->at_us,
+                               .duration_us = f->duration_us,
+                               .shard = 0,
+                               .worker = f->worker,
+                               .stall_ns = f->stall_ns};
+    } else if (const auto* f = std::get_if<OffloadStall>(&fault)) {
+      fault = ShardOffloadStall{.at_us = f->at_us,
+                                .duration_us = f->duration_us,
+                                .shard = 0,
+                                .worker = f->worker,
+                                .all_workers = f->all_workers,
+                                .stall_ns = f->stall_ns};
+    } else if (const auto* f = std::get_if<ShardCrash>(&fault)) {
       if (f->shard >= num_shards)
         throw std::invalid_argument("chaos: ShardCrash.shard out of range");
     } else if (const auto* f = std::get_if<ShardHang>(&fault)) {
@@ -401,6 +106,15 @@ CampaignReport CampaignRunner::run_sharded() {
             "chaos: ShardOffloadStall.shard out of range");
     }
   }
+
+  DispatchGuard dispatch_guard;
+
+  // The server's entropy source is exhaustible — RngExhaustion drains it
+  // live; until then it behaves exactly like a seeded DRBG. With one
+  // shard every connection draws from it, as a lone server's would. With
+  // several, one DRBG cannot be shared across shard threads, so each
+  // connection gets its own stream named by its wire id.
+  ExhaustibleRng server_rng(server::fleet_server_seed(seed));
 
   // Per-shard worlds, declared before the tier (lifetime order: channels
   // outlive servers). Each shard's thread only ever touches index s of
@@ -421,6 +135,7 @@ CampaignReport CampaignRunner::run_sharded() {
   scfg.shards = num_shards;
   scfg.slice_us = config_.slice_us;
   scfg.server = config_.server;
+  scfg.server.handshake.rng = &server_rng;  // honoured at one shard only
   scfg.cache = config_.cache;
   server::ShardSupervisor tier(scfg);
   tier.set_watchdog_wall_ms(config_.watchdog_wall_ms);
@@ -429,7 +144,7 @@ CampaignReport CampaignRunner::run_sharded() {
   std::vector<std::unique_ptr<engine::ProtocolEngine>> engines;
   for (std::size_t s = 0; s < num_shards; ++s) {
     engine_rngs.push_back(std::make_unique<crypto::HmacDrbg>(
-        load_sub_seed(config_.seed, 0xE17 + s)));
+        server::fleet_engine_seed(seed, s)));
     engines.push_back(std::make_unique<engine::ProtocolEngine>(
         config_.server.engine_profile, engine_rngs.back().get()));
     engines.back()->load_program("ccmp-in", engine::ccmp_inbound_program());
@@ -475,14 +190,14 @@ CampaignReport CampaignRunner::run_sharded() {
     const std::uint32_t wire_id = server::make_wire_id(conn_key, attempt);
     auto channel = std::make_unique<net::DuplexChannel>(
         queue, config_.channel, config_.channel,
-        load_sub_seed(config_.seed, 0xC4A17 + wire_id));
+        server::fleet_channel_seed(seed, wire_id));
     apply_weather(weather[s], channel->a_to_b());
     apply_weather(weather[s], channel->b_to_a());
     if (tier.shard_alive(s)) {
       server::SecureSessionServer::AcceptOptions opts;
       opts.wire_id = wire_id;
-      opts.rng_seed =
-          load_sub_seed(load_sub_seed(config_.seed, 0x5E4), wire_id);
+      if (num_shards > 1)
+        opts.rng_seed = load_sub_seed(server::fleet_server_seed(seed), wire_id);
       tier.accept(conn_key, channel->b_to_a(), channel->a_to_b(), opts);
     }
     auto link = std::make_unique<net::ReliableLink>(
@@ -500,7 +215,7 @@ CampaignReport CampaignRunner::run_sharded() {
   // arrival times are placement-independent, so the fleet digest is too.
   std::vector<std::unique_ptr<server::SessionClient>> clients;
   clients.reserve(config_.honest_clients);
-  crypto::HmacDrbg arrival_rng(load_sub_seed(config_.seed, 0xA881));
+  crypto::HmacDrbg arrival_rng(server::fleet_arrival_seed(seed));
   net::SimTime arrival = 0;
   for (std::size_t i = 0; i < config_.honest_clients; ++i) {
     const auto key = static_cast<std::uint32_t>(i);
@@ -508,7 +223,7 @@ CampaignReport CampaignRunner::run_sharded() {
         server::shard_for_live(key, num_shards, tier.routable());
     auto client = std::make_unique<server::SessionClient>(
         tier.queue(s), config_.client, key, *engines[s],
-        load_sub_seed(config_.seed, 0xC11E57 + i));
+        server::fleet_client_seed(seed, i));
     client->set_connect(
         [&make_link, key, link_cfg = config_.client.link](
             server::SessionClient&) { return make_link(key, link_cfg); });
@@ -548,9 +263,8 @@ CampaignReport CampaignRunner::run_sharded() {
     weather_plan.push_back({at, std::move(fn)});
   };
 
-  for (const Fault& fault : config_.faults) {
-    const std::uint64_t fseed =
-        load_sub_seed(config_.seed, 0xFA017 + fault_index);
+  for (const Fault& fault : plan) {
+    const std::uint64_t fseed = load_sub_seed(seed, 0xFA017 + fault_index);
     ++fault_index;
 
     if (const auto* f = std::get_if<Blackout>(&fault)) {
@@ -602,6 +316,19 @@ CampaignReport CampaignRunner::run_sharded() {
       ++planned_hangs;
       tier.schedule_hang(f->at_us, f->shard, repair);
       if (f->repair_us != 0) ++planned_rejoins;
+    } else if (const auto* f = std::get_if<DispatchFailure>(&fault)) {
+      // One shard only (validated above): its queue is the whole world.
+      tier.queue(0).schedule_at(f->at_us,
+                                [] { crypto::dispatch::force_scalar(true); });
+      if (f->duration_us != 0)
+        tier.queue(0).schedule_at(f->at_us + f->duration_us,
+                                  [prev = dispatch_guard.prev] {
+                                    crypto::dispatch::force_scalar(prev);
+                                  });
+    } else if (const auto* f = std::get_if<RngExhaustion>(&fault)) {
+      tier.queue(0).schedule_at(f->at_us, [&] { server_rng.exhaust(); });
+      tier.queue(0).schedule_at(f->at_us + f->duration_us,
+                                [&] { server_rng.refill(); });
     } else if (const auto* f = std::get_if<ShardWorkerStall>(&fault)) {
       // Rides the target shard's own queue: lands at a deterministic
       // simulated instant and is executed by the one thread that owns
@@ -729,10 +456,7 @@ CampaignReport CampaignRunner::run_sharded() {
   report.conserved = tier.conserved();
   report.degraded_time_us = rs.degraded_time_us;
   report.degraded_transitions = rs.degraded_transitions;
-  net::SimTime end = 0;
-  for (std::size_t s = 0; s < num_shards; ++s)
-    end = std::max(end, tier.queue(s).now());
-  report.sim_duration_s = static_cast<double>(end) / 1e6;
+  report.sim_duration_s = static_cast<double>(rs.last_event_us) / 1e6;
 
   crypto::Bytes digest_stream;
   std::vector<net::SimTime> blackouts;

@@ -45,6 +45,11 @@ class EventQueue {
  public:
   SimTime now() const { return now_; }
 
+  /// Time of the most recent event run (0 before the first). Unlike
+  /// now(), run_until() does not advance it to the deadline, so a
+  /// sliced run reports when the world actually went quiet.
+  SimTime last_event_time() const { return last_event_; }
+
   /// Schedule `fn` at absolute time `when` (clamped to `now()` if in the
   /// past and to kTimeCeiling above). Returns an id usable with cancel().
   EventId schedule_at(SimTime when, std::function<void()> fn);
@@ -96,6 +101,7 @@ class EventQueue {
   };
 
   SimTime now_ = 0;
+  SimTime last_event_ = 0;
   EventId next_id_ = 1;
   std::map<Key, std::function<void()>> events_;
   std::map<EventId, SimTime> index_;  // id -> scheduled time, for cancel()

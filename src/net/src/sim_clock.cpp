@@ -30,6 +30,7 @@ bool EventQueue::run_one() {
   if (events_.empty()) return false;
   auto it = events_.begin();
   now_ = it->first.when;
+  last_event_ = now_;
   index_.erase(it->first.id);
   // Move the handler out before erasing: it may schedule (or cancel)
   // further events, invalidating `it`.

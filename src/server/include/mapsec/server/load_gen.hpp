@@ -1,14 +1,17 @@
-// Load-generation harness: seeded client fleets against one server.
+// Load-generation harness: seeded client fleets against the sharded
+// serving tier.
 //
 // Spawns N SessionClients with a configurable arrival process (Poisson
-// or uniform) over per-connection lossy channels, drives the whole
-// system on one EventQueue, and aggregates the result: serving rates
-// (full/resumed handshakes per second, protected record throughput),
-// latency percentiles, cache behaviour, clean-failure accounting, and a
-// fleet-wide transcript digest that must be bit-identical for any
-// PacketPipeline worker count. The report is priced against a processor
-// model via platform::serving_gap, closing the loop to Figure 3: how
-// much appliance-class silicon would this measured serving load need?
+// or uniform) over per-connection lossy channels, serves them with a
+// ShardedServer of `shards` shards (one by default: a single event loop
+// on one shard thread), runs the world to quiescence and aggregates the
+// result: serving rates (full/resumed handshakes per second, protected
+// record throughput), latency percentiles, cache behaviour, clean-failure
+// accounting, the per-shard breakdown, and a fleet-wide transcript digest
+// that must be bit-identical for any PacketPipeline worker count and any
+// shard count. The report is priced against a processor model via
+// platform::serving_gap, closing the loop to Figure 3: how much
+// appliance-class silicon would this measured serving load need?
 #pragma once
 
 #include <cstdint>
@@ -21,20 +24,26 @@
 #include "mapsec/server/client.hpp"
 #include "mapsec/server/server.hpp"
 #include "mapsec/server/session_cache.hpp"
+#include "mapsec/server/sharded_server.hpp"
 
 namespace mapsec::server {
 
-/// Deterministic sub-seed derivation shared by the sim LoadGenerator and
-/// the socket fleets. Both bearers must draw identical seed streams —
-/// server rng, client engine rng, arrival process, per-client seeds,
-/// per-connection channel weather — for their session outcomes to be
-/// comparable run-for-run.
+/// Deterministic sub-seed derivation shared by the sim LoadGenerator, the
+/// chaos campaigns and the socket fleets. Every bearer must draw identical
+/// seed streams — server rng, client engine rng, arrival process,
+/// per-client seeds, per-connection channel weather — for their session
+/// outcomes to be comparable run-for-run.
 std::uint64_t load_sub_seed(std::uint64_t seed, std::uint64_t n);
+/// Server handshake randomness; a connection's own DRBG is
+/// load_sub_seed(fleet_server_seed(seed), wire_id).
 inline std::uint64_t fleet_server_seed(std::uint64_t seed) {
   return load_sub_seed(seed, 0x5E4);
 }
-inline std::uint64_t fleet_engine_seed(std::uint64_t seed) {
-  return load_sub_seed(seed, 0xE17);
+/// Client-side record engine of shard `shard` (one per shard, so no
+/// engine is shared across shard threads).
+inline std::uint64_t fleet_engine_seed(std::uint64_t seed,
+                                       std::size_t shard = 0) {
+  return load_sub_seed(seed, 0xE17 + shard);
 }
 inline std::uint64_t fleet_arrival_seed(std::uint64_t seed) {
   return load_sub_seed(seed, 0xA881);
@@ -42,9 +51,12 @@ inline std::uint64_t fleet_arrival_seed(std::uint64_t seed) {
 inline std::uint64_t fleet_client_seed(std::uint64_t seed, std::size_t i) {
   return load_sub_seed(seed, 0xC11E57 + i);
 }
+/// Channel weather of one connection attempt, named by its wire id
+/// (make_wire_id: client and attempt), never by connect order, so the
+/// draw is the same at any shard count.
 inline std::uint64_t fleet_channel_seed(std::uint64_t seed,
-                                        std::uint64_t connect_counter) {
-  return load_sub_seed(seed, 0xC4A17 + connect_counter);
+                                        std::uint32_t wire_id) {
+  return load_sub_seed(seed, 0xC4A17 + wire_id);
 }
 
 /// Exponential inter-arrival draw (Poisson process) from a uniform
@@ -70,6 +82,12 @@ struct ArenaUsage {
 
 struct LoadConfig {
   std::size_t num_clients = 100;
+  /// Serving shards (one event loop and one modeled core each). Clients
+  /// keep their seeds and arrival times at any count; only the queue
+  /// their world lives on follows the shard hash.
+  std::size_t shards = 1;
+  /// Epoch-barrier granularity of the sharded tier.
+  net::SimTime slice_us = 1'000;
   net::SimTime mean_interarrival_us = 1'000;
   bool poisson_arrivals = true;
 
@@ -131,10 +149,24 @@ struct LoadReport {
   /// Record-path buffer-pool accounting (socket-bearer runs only).
   ArenaUsage arena;
 
+  /// Sharded-tier view: per-shard slices (the fleet totals above equal
+  /// their sums), slice barriers crossed, the fleet's open-connection
+  /// high-water at barriers, and the conservation verdict.
+  std::vector<ShardBreakdown> shards;
+  std::uint64_t epochs = 0;
+  std::size_t peak_open_connections = 0;
+  bool conserved = false;
+  /// Fleet p99 handshake latency off the MERGED per-shard histograms
+  /// (analysis::merge — exact aggregation, not a p99-of-p99s).
+  double handshake_hist_p99_ms = 0;
+
   platform::ServingGapReport gap;
   /// Ticket-tier pricing of the same load (meaningful when the server
   /// ran in ticket mode; state fields mirror the two lines above).
   platform::TicketGapReport ticket_gap;
+  /// Sharded-tier pricing: the same load split over `shards` cores plus
+  /// the per-slice merge tax.
+  platform::ShardedGapReport sharded_gap;
 };
 
 class LoadGenerator {
@@ -147,8 +179,8 @@ class LoadGenerator {
         client_(std::move(client_template)),
         cache_(cache) {}
 
-  /// Build the world, run it to quiescence, aggregate. Each call is an
-  /// independent, fully-seeded run.
+  /// Build the sharded world, run it to quiescence, aggregate. Each call
+  /// is an independent, fully-seeded run.
   LoadReport run();
 
  private:

@@ -59,6 +59,11 @@ class BoundedSessionCache final : public protocol::SessionCache {
       hit_after_evict_misses += o.hit_after_evict_misses;
       return *this;
     }
+
+    double hit_rate() const {
+      const auto total = hits + misses;
+      return total == 0 ? 0.0 : static_cast<double>(hits) / total;
+    }
   };
 
   /// `clock` provides the TTL time base (not owned, must outlive the
@@ -77,10 +82,6 @@ class BoundedSessionCache final : public protocol::SessionCache {
   void clear() override;
 
   const Stats& stats() const { return stats_; }
-  double hit_rate() const {
-    const auto total = stats_.hits + stats_.misses;
-    return total == 0 ? 0.0 : static_cast<double>(stats_.hits) / total;
-  }
 
   /// Bytes of resumption state the live entries pin (ids, master secret,
   /// node + LRU + index bookkeeping per entry, evicted-id hashes):

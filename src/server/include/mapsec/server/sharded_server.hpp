@@ -17,13 +17,18 @@
 // in bounded time slices (slice_us), and at every slice boundary the
 // merge step — on the coordinating thread, with all shards quiescent —
 // (1) applies due control messages (ticket key rotations, chaos ops) to
-// the shards in deterministic (due, seq) order, and (2) recomputes the
-// barrier-frozen FleetControl snapshot from which EVERY admission and
-// degraded-mode decision is taken until the next barrier. Nothing
-// shard-count-dependent reaches the wire (AcceptOptions::wire_id), key
-// derivation, or a client-visible decision, so the fleet transcript
-// digest is byte-identical for shard counts {1, 2, 4, 8} — the same
-// invariant PR 5/PR 6 proved for offload lanes and batch widths.
+// the shards in deterministic (due, seq) order, and (2) with more than
+// one shard, recomputes the barrier-frozen FleetControl snapshot from
+// which EVERY admission and degraded-mode decision is taken until the
+// next barrier. With one shard the fleet totals ARE that shard's live
+// counters, so it admits from them directly, exactly as a lone server
+// does. Nothing shard-count-dependent reaches the wire
+// (AcceptOptions::wire_id), key derivation, or a client-visible decision,
+// so the fleet transcript digest is byte-identical for shard counts
+// {1, 2, 4, 8} — the same invariant offload lanes and batch widths keep.
+//
+// This tier is the only simulated serving world: LoadGenerator and
+// chaos::CampaignRunner both build on it, with one shard by default.
 #pragma once
 
 #include <cstdint>
@@ -32,9 +37,7 @@
 #include <vector>
 
 #include "mapsec/analysis/stats.hpp"
-#include "mapsec/platform/gap.hpp"
 #include "mapsec/server/client.hpp"
-#include "mapsec/server/load_gen.hpp"
 #include "mapsec/server/server.hpp"
 #include "mapsec/server/session_cache.hpp"
 
@@ -82,9 +85,10 @@ struct ShardedServerConfig {
   net::SimTime slice_us = 1'000;
 
   /// Per-shard server template. Admission and degraded watermarks are
-  /// interpreted as FLEET limits (the merge enforces them via
-  /// FleetControl), so one config means the same policy at any shard
-  /// count.
+  /// interpreted as FLEET limits (with several shards the merge enforces
+  /// them via FleetControl), so one config means the same policy at any
+  /// shard count. `handshake.rng`, when set, is used only with one shard
+  /// (a DRBG cannot be shared across shard threads).
   ServerConfig server;
 
   /// FLEET cache capacity, split evenly across shard partitions
@@ -158,6 +162,7 @@ class ShardedServer {
     std::size_t peak_open_connections = 0;  // fleet high-water at barriers
     std::uint64_t degraded_transitions = 0;  // fleet-level entries
     double degraded_time_us = 0;             // fleet-level total
+    net::SimTime last_event_us = 0;  // latest event run on any shard
   };
 
   /// Drive all shards to quiescence through bounded slices and barrier
@@ -217,6 +222,11 @@ class ShardedServer {
   }
   virtual void configure_executor(net::ShardExecutor& exec) { (void)exec; }
 
+  /// (Re)build shard `s`'s serving world on its existing queue: cache
+  /// partition, fallback rng and server, with the fleet snapshot
+  /// installed when there is more than one shard. Used at construction
+  /// and by the supervisor's warm rejoin.
+  void build_world(std::size_t s);
   void refresh_control(net::SimTime now, RunStats& rs);
   net::SimTime next_control_due() const;
 
@@ -235,54 +245,6 @@ class ShardedServer {
   std::uint64_t fleet_degraded_transitions_ = 0;
   double fleet_degraded_time_us_ = 0;
   net::SimTime barrier_time_ = 0;
-};
-
-// ---------------------------------------------------------------------
-// Sharded load generation: the LoadGenerator harness against the sharded
-// tier. Client i keeps the seed and arrival time it would have in the
-// single-loop harness; only the queue its world lives on changes with the
-// shard count, which is exactly what the digest-invariance tests pin.
-
-struct ShardedLoadConfig {
-  LoadConfig base;
-  std::size_t shards = 1;
-  net::SimTime slice_us = 1'000;
-};
-
-struct ShardedLoadReport {
-  /// Fleet view, same shape the single-loop harness reports (stats are
-  /// the per-shard sums; the digest spans all clients in client order).
-  LoadReport fleet;
-  std::vector<ShardBreakdown> shards;
-  std::uint64_t epochs = 0;
-  std::uint64_t control_applied = 0;
-  std::size_t peak_open_connections = 0;
-  /// Fleet p99 handshake latency off the MERGED per-shard histograms
-  /// (analysis::merge — exact aggregation, not a p99-of-p99s).
-  double handshake_hist_p99_ms = 0;
-  bool conserved = false;
-  platform::ShardedGapReport sharded_gap;
-};
-
-class ShardedLoadGenerator {
- public:
-  ShardedLoadGenerator(ShardedLoadConfig load, ServerConfig server,
-                       ClientConfig client_template,
-                       BoundedSessionCache::Config cache)
-      : load_(std::move(load)),
-        server_(std::move(server)),
-        client_(std::move(client_template)),
-        cache_(cache) {}
-
-  /// Build the sharded world, run it to quiescence, aggregate. Each call
-  /// is an independent, fully-seeded run.
-  ShardedLoadReport run();
-
- private:
-  ShardedLoadConfig load_;
-  ServerConfig server_;
-  ClientConfig client_;
-  BoundedSessionCache::Config cache_;
 };
 
 }  // namespace mapsec::server

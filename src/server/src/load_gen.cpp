@@ -30,53 +30,71 @@ crypto::Bytes fold_fleet_digest(
 }
 
 LoadReport LoadGenerator::run() {
+  const std::uint64_t seed = load_.seed;
+
   // Declaration order doubles as lifetime order: channels must outlive
-  // the server and the clients (their links detach from channels on
-  // destruction), and everything outlives the queue's drained events.
-  net::EventQueue queue;
-  BoundedSessionCache cache(queue, cache_);
-  std::vector<std::unique_ptr<net::DuplexChannel>> channels;
+  // the servers and the clients (their links detach from channels on
+  // destruction), and everything outlives the queues' drained events.
+  // Per-shard state is only ever touched by that shard's thread during a
+  // slice.
+  ShardedServerConfig scfg;
+  scfg.shards = load_.shards == 0 ? 1 : load_.shards;
+  scfg.slice_us = load_.slice_us;
+  scfg.server = server_;
+  scfg.cache = cache_;
+  std::vector<std::vector<std::unique_ptr<net::DuplexChannel>>> channels(
+      scfg.shards);
+  ShardedServer tier(scfg);
 
-  // Each run() seeds its own server rng so repeated runs (and runs that
-  // differ only in worker count) are bit-identical.
-  crypto::HmacDrbg server_rng(fleet_server_seed(load_.seed));
-  ServerConfig server_config = server_;
-  server_config.handshake.rng = &server_rng;
-  SecureSessionServer server(queue, server_config, &cache);
+  // Client-side engines for opening the servers' CCM bulk records, one
+  // per shard (shared read-only by that shard's clients).
+  std::vector<std::unique_ptr<crypto::HmacDrbg>> engine_rngs;
+  std::vector<std::unique_ptr<engine::ProtocolEngine>> engines;
+  for (std::size_t s = 0; s < tier.shards(); ++s) {
+    engine_rngs.push_back(
+        std::make_unique<crypto::HmacDrbg>(fleet_engine_seed(seed, s)));
+    engines.push_back(std::make_unique<engine::ProtocolEngine>(
+        server_.engine_profile, engine_rngs.back().get()));
+    engines.back()->load_program("ccmp-in", engine::ccmp_inbound_program());
+  }
 
-  // Client-side engine for opening the server's CCM bulk records.
-  crypto::HmacDrbg client_engine_rng(fleet_engine_seed(load_.seed));
-  engine::ProtocolEngine client_engine(server_.engine_profile,
-                                       &client_engine_rng);
-  client_engine.load_program("ccmp-in", engine::ccmp_inbound_program());
-
+  // Clients: seed and arrival time are functions of the client index
+  // alone — identical for any shard count. Only the queue the client's
+  // world lives on follows the shard hash.
   std::vector<std::unique_ptr<SessionClient>> clients;
+  std::vector<std::uint32_t> attempts(load_.num_clients, 0);
   clients.reserve(load_.num_clients);
-  std::uint64_t connect_counter = 0;
-
-  crypto::HmacDrbg arrival_rng(fleet_arrival_seed(load_.seed));
+  crypto::HmacDrbg arrival_rng(fleet_arrival_seed(seed));
   net::SimTime arrival = 0;
   for (std::size_t i = 0; i < load_.num_clients; ++i) {
+    const auto key = static_cast<std::uint32_t>(i);
+    const std::size_t s = tier.shard_of(key);
+    net::EventQueue& queue = tier.queue(s);
     auto client = std::make_unique<SessionClient>(
-        queue, client_, static_cast<std::uint32_t>(i), client_engine,
-        fleet_client_seed(load_.seed, i));
-    client->set_connect([this, &queue, &channels, &server,
-                         &connect_counter](SessionClient&) {
+        queue, client_, key, *engines[s], fleet_client_seed(seed, i));
+    client->set_connect([this, &tier, &channels, &attempts, seed, s,
+                         key](SessionClient&) {
+      net::EventQueue& queue = tier.queue(s);
       // Fresh channel per attempt: stale frames of an abandoned attempt
-      // can never reach the new connection's link.
+      // can never reach the new connection's link. The global wire
+      // identity (client, attempt) — never the shard-local connection id
+      // — names the channel seed, the server-side DRBG and the on-the-wire
+      // SPI, so every byte is shard-count-invariant. Client is the "a"
+      // side.
+      const std::uint32_t wire_id = make_wire_id(key, attempts[key]++);
       auto channel = std::make_unique<net::DuplexChannel>(
           queue, load_.channel, load_.channel,
-          fleet_channel_seed(load_.seed, connect_counter));
-      ++connect_counter;
-      // Client is the "a" side.
-      server.accept(channel->b_to_a(), channel->a_to_b());
+          fleet_channel_seed(seed, wire_id));
+      SecureSessionServer::AcceptOptions opts;
+      opts.wire_id = wire_id;
+      opts.rng_seed = load_sub_seed(fleet_server_seed(seed), wire_id);
+      tier.accept(key, channel->b_to_a(), channel->a_to_b(), opts);
       auto link = std::make_unique<net::ReliableLink>(
           queue, channel->a_to_b(), channel->b_to_a(), client_.link);
-      channels.push_back(std::move(channel));
+      channels[s].push_back(std::move(channel));
       return link;
     });
-    queue.schedule_at(arrival,
-                      [c = client.get()] { c->start(); });
+    queue.schedule_at(arrival, [c = client.get()] { c->start(); });
     arrival += load_.poisson_arrivals
                    ? load_exponential_us(
                          arrival_rng,
@@ -85,20 +103,26 @@ LoadReport LoadGenerator::run() {
     clients.push_back(std::move(client));
   }
 
-  queue.run_all(load_.max_events);
+  const ShardedServer::RunStats rs = tier.run(load_.max_events);
 
   // ---- aggregate -----------------------------------------------------
   LoadReport report;
-  report.server = server.stats();
-  report.cache = cache.stats();
-  report.cache_hit_rate = cache.hit_rate();
-  report.cache_state_bytes = cache.resumption_state_bytes();
-  report.ticket_state_bytes = server.ticket_state_bytes();
+  report.epochs = rs.epochs;
+  report.peak_open_connections = rs.peak_open_connections;
+  report.shards = tier.breakdown();
+  report.conserved = tier.conserved();
+  report.server = tier.fleet_stats();
+  for (const ShardBreakdown& b : report.shards) {
+    report.cache += b.cache;
+    report.cache_state_bytes += b.cache_state_bytes;
+    report.ticket_state_bytes += b.ticket_state_bytes;
+  }
+  report.cache_hit_rate = report.cache.hit_rate();
 
   // Fleet digest: fold every client's chained transcript digest in
   // client order. The digest is a pure function of the transcripts —
-  // independent of backend, worker count, offload batch width, and
-  // bearer (sim or socket).
+  // independent of backend, worker count, shard count, offload batch
+  // width, and bearer (sim or socket).
   std::vector<crypto::ConstBytes> lanes;
   lanes.reserve(clients.size());
   for (const auto& client : clients) {
@@ -113,7 +137,7 @@ LoadReport LoadGenerator::run() {
   }
   report.fleet_digest = fold_fleet_digest(lanes);
 
-  report.sim_duration_s = static_cast<double>(queue.now()) / 1e6;
+  report.sim_duration_s = static_cast<double>(rs.last_event_us) / 1e6;
   const double dur = report.sim_duration_s > 0 ? report.sim_duration_s : 1;
   report.full_handshakes_per_s =
       static_cast<double>(report.server.full_handshakes) / dur;
@@ -125,27 +149,30 @@ LoadReport LoadGenerator::run() {
       static_cast<double>(report.server.bytes_opened +
                           report.server.bytes_sealed);
   report.record_mbps = protected_bytes * 8 / 1e6 / dur;
-  report.handshake_p50_ms =
-      analysis::percentile(report.server.handshake_latencies_us, 0.50) /
-      1e3;
-  report.handshake_p99_ms =
-      analysis::percentile(report.server.handshake_latencies_us, 0.99) /
-      1e3;
+  const auto ms = [](const std::vector<double>& us, double p) {
+    return analysis::percentile(us, p) / 1e3;
+  };
+  report.handshake_p50_ms = ms(report.server.handshake_latencies_us, 0.50);
+  report.handshake_p99_ms = ms(report.server.handshake_latencies_us, 0.99);
   report.full_handshake_p50_ms =
-      analysis::percentile(report.server.full_handshake_latencies_us, 0.50) /
-      1e3;
+      ms(report.server.full_handshake_latencies_us, 0.50);
   report.full_handshake_p99_ms =
-      analysis::percentile(report.server.full_handshake_latencies_us, 0.99) /
-      1e3;
+      ms(report.server.full_handshake_latencies_us, 0.99);
   report.resumed_handshake_p50_ms =
-      analysis::percentile(report.server.resumed_handshake_latencies_us,
-                           0.50) /
-      1e3;
+      ms(report.server.resumed_handshake_latencies_us, 0.50);
   report.resumed_handshake_p99_ms =
-      analysis::percentile(report.server.resumed_handshake_latencies_us,
-                           0.99) /
-      1e3;
+      ms(report.server.resumed_handshake_latencies_us, 0.99);
   report.crypto_backend = engine::PacketPipeline::crypto_backend();
+
+  // Fleet percentile off the merged per-shard histograms: the exact
+  // aggregation the per-shard summaries cannot give (within a bucket
+  // width of the sorted-sample percentile above).
+  std::vector<analysis::LatencyHistogram> hists;
+  hists.reserve(report.shards.size());
+  for (const ShardBreakdown& b : report.shards)
+    hists.push_back(b.handshake_histogram);
+  report.handshake_hist_p99_ms =
+      analysis::merged_percentile(hists, 0.99) / 1e3;
 
   platform::ServedLoad served;
   served.full_handshakes_per_s = report.full_handshakes_per_s;
@@ -157,15 +184,19 @@ LoadReport LoadGenerator::run() {
           ? protected_bytes / 1024.0 /
                 static_cast<double>(report.sessions_completed)
           : 0;
-  report.gap =
-      platform::serving_gap(platform::WorkloadModel::paper_calibrated(),
-                            load_.appliance, served, load_.battery_kj,
-                            load_.pk_primitive);
+  const platform::WorkloadModel model =
+      platform::WorkloadModel::paper_calibrated();
+  report.gap = platform::serving_gap(model, load_.appliance, served,
+                                     load_.battery_kj, load_.pk_primitive);
   report.ticket_gap = platform::serving_gap_ticket(
-      platform::WorkloadModel::paper_calibrated(), load_.appliance, served,
+      model, load_.appliance, served,
       static_cast<double>(report.ticket_state_bytes),
       static_cast<double>(report.cache_state_bytes),
       /*ticket_wire_bytes=*/96.0, load_.battery_kj, load_.pk_primitive);
+  report.sharded_gap = platform::serving_gap_sharded(
+      model, load_.appliance, served, tier.shards(),
+      static_cast<double>(load_.slice_us),
+      /*merge_instr_per_slice=*/2000.0, load_.battery_kj, load_.pk_primitive);
   return report;
 }
 

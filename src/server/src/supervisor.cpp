@@ -6,14 +6,6 @@
 
 namespace mapsec::server {
 
-namespace {
-
-std::uint64_t mix(std::uint64_t seed, std::uint64_t n) {
-  return seed ^ (n * 0x9E3779B97F4A7C15ull + 0xD1B54A32D192ED03ull);
-}
-
-}  // namespace
-
 ShardSupervisor::ShardSupervisor(ShardedServerConfig config)
     : ShardedServer(std::move(config)),
       draining_(shards()),
@@ -159,26 +151,14 @@ void ShardSupervisor::rejoin_shard(std::size_t shard, net::SimTime now) {
   if (sh.alive) return;
   retire_world(shard);
 
-  // Fresh world on the same queue (clock already at the barrier). This
-  // mirrors the base constructor exactly: same cache partition, same
-  // fallback-rng stream, and — critically — a ticket ring REPLICA: same
-  // seed, same birth instant (the tier's construction at t=0), then the
-  // recorded control history replayed below, so every manual rotation the
-  // fleet saw lands in the same order and pre-crash tickets still open.
-  BoundedSessionCache::Config part = config_.cache;
-  if (part.capacity > 0)
-    part.capacity = (part.capacity + shards() - 1) / shards();
-  sh.cache = std::make_unique<BoundedSessionCache>(*sh.queue, part);
-  sh.fallback_rng = std::make_unique<crypto::HmacDrbg>(
-      mix(config_.server.ticket.key_seed, 0x5EED + shard));
-  ServerConfig cfg = config_.server;
-  cfg.handshake.rng = sh.fallback_rng.get();
-  if (config_.server.handshake.rng != nullptr && shards() == 1)
-    cfg.handshake.rng = config_.server.handshake.rng;
-  if (cfg.ticket.enabled) cfg.ticket.ring_birth_us = 0;
-  sh.server = std::make_unique<SecureSessionServer>(*sh.queue, std::move(cfg),
-                                                    sh.cache.get());
-  sh.server->set_fleet_control(&control_);
+  // Fresh world on the same queue (clock already at the barrier), built
+  // exactly as the constructor built the original: same cache partition,
+  // same fallback-rng stream, and — critically — a ticket ring REPLICA:
+  // same seed, same birth instant (the tier's construction at t=0), then
+  // the recorded control history replayed below, so every manual rotation
+  // the fleet saw lands in the same order and pre-crash tickets still
+  // open.
+  build_world(shard);
   for (const ControlMessage& msg : control_history_) {
     msg.op(*sh.server, shard);
     ++fstats_.control_replayed;
