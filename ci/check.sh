@@ -99,12 +99,14 @@ echo "== thread-sanitizer tree (MAPSEC_SANITIZE=thread) =="
 # The failover suite is the sharpest of these: hang latches park shard
 # threads mid-slice, the wall-clock watchdog releases them from another
 # thread, and supervised kills tear worlds down between slices — exactly
-# the handoffs TSan exists to vet.
+# the handoffs TSan exists to vet. The socket fleet joins them: each
+# shard's reactor thread accepts, serves and drops its connections while
+# the test thread probes and stops the shards.
 cmake -B build-tsan -S . -DMAPSEC_SANITIZE=thread
 cmake --build build-tsan -j "${JOBS}"
 ctest --test-dir build-tsan --output-on-failure -j "${JOBS}" \
   --no-tests=error \
-  -R 'Pipeline|pipeline|Server|server|Chaos|chaos|Campaign|WireFuzz|net_|Ticket|Renegotiat|Shard|Failover|HangLatch'
+  -R 'Pipeline|pipeline|Server|server|Chaos|chaos|Campaign|WireFuzz|net_|Ticket|Renegotiat|Shard|Failover|HangLatch|SocketFleet'
 
 if [[ "${MAPSEC_BENCH_COMPARE:-1}" != "0" ]]; then
   echo "== benchmark baseline comparison =="

@@ -78,6 +78,12 @@ class PacketPipeline {
   /// Register an SA under `sa_id`. Not safe concurrently with run_batch().
   void add_sa(std::uint32_t sa_id, EngineSa sa);
 
+  /// Forget the SA under `sa_id` (no-op if unknown); a later job for it
+  /// drops as "unknown SA". Not safe concurrently with run_batch().
+  void remove_sa(std::uint32_t sa_id);
+
+  std::size_t sa_count() const { return sas_.size(); }
+
   /// Access a registered SA (e.g. to inspect replay state after a batch).
   const EngineSa& sa(std::uint32_t sa_id) const;
 
@@ -87,7 +93,9 @@ class PacketPipeline {
 
   /// Process a batch. Blocks until every job has completed; results are
   /// in job order. Jobs for the same SA execute in batch order on the
-  /// same worker.
+  /// same worker. A job whose program throws (an unknown program, an SA
+  /// key the cipher rejects) comes back dropped with the exception's text
+  /// as its drop_reason; no exception leaves a worker thread.
   std::vector<PipelineResult> run_batch(const std::vector<PipelineJob>& jobs);
 
   std::size_t num_workers() const { return workers_.size(); }

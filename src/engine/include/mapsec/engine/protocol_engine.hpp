@@ -139,8 +139,11 @@ class ProtocolEngine {
   /// results[i], cycle accounting, per-rng draw order, and SA replay-state
   /// evolution are identical to calling
   ///   run(program_name, *sas[i], packets[i], *rngs[i])
-  /// in index order — packets may share SAs and rngs. The thread-
-  /// confinement contract is the same as run()'s.
+  /// in index order — packets may share SAs and rngs — except that a
+  /// packet whose run() would throw (say, an SA key the cipher rejects)
+  /// comes back dropped with the exception's text as its drop_reason and
+  /// no cycles, and the batch goes on. The thread-confinement contract is
+  /// the same as run()'s.
   std::vector<Result> run_many(const std::string& program_name,
                                const std::vector<EngineSa*>& sas,
                                const std::vector<crypto::ConstBytes>& packets,

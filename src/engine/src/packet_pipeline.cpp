@@ -49,6 +49,8 @@ void PacketPipeline::add_sa(std::uint32_t sa_id, EngineSa sa) {
                SaState{std::move(sa), crypto::HmacDrbg(rng_seed_ ^ sa_id)});
 }
 
+void PacketPipeline::remove_sa(std::uint32_t sa_id) { sas_.erase(sa_id); }
+
 const EngineSa& PacketPipeline::sa(std::uint32_t sa_id) const {
   const auto it = sas_.find(sa_id);
   if (it == sas_.end())
@@ -119,8 +121,15 @@ void PacketPipeline::worker_main(std::size_t index) {
     const std::string* run_prog = nullptr;
     const auto flush = [&] {
       if (run_idx.empty()) return;
-      std::vector<ProtocolEngine::Result> rs =
-          engine_.run_many(*run_prog, run_sas, run_pkts, run_rngs);
+      // run_many drops a throwing packet on its own; whatever still
+      // escapes it (allocation failure) drops the run, never the process.
+      std::vector<ProtocolEngine::Result> rs;
+      try {
+        rs = engine_.run_many(*run_prog, run_sas, run_pkts, run_rngs);
+      } catch (const std::exception& e) {
+        rs.assign(run_idx.size(), ProtocolEngine::Result{});
+        for (ProtocolEngine::Result& r : rs) r.drop_reason = e.what();
+      }
       for (std::size_t k = 0; k < run_idx.size(); ++k) {
         PipelineResult& out = (*results)[run_idx[k]];
         out.accepted = rs[k].accepted;

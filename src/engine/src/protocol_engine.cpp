@@ -302,11 +302,35 @@ std::vector<ProtocolEngine::Result> ProtocolEngine::run_many(
       program, {OpCode::kCheckMinLength, OpCode::kParseHeader,
                 OpCode::kCheckSpi, OpCode::kOpenCcm, OpCode::kCheckReplay,
                 OpCode::kAccept});
+  // A packet whose run() throws comes back dropped with the exception's
+  // text and no cycles, which is what PacketPipeline's per-job path
+  // records for it; the other packets go on untouched.
+  const auto fail_lane = [&results](std::size_t i, const std::exception& e) {
+    results[i] = Result{};
+    results[i].drop_reason = e.what();
+  };
   if (!ccmp_out && !ccmp_in) {
-    for (std::size_t i = 0; i < n; ++i)
-      results[i] = run(program_name, *sas[i], packets[i], *rngs[i]);
+    for (std::size_t i = 0; i < n; ++i) {
+      try {
+        results[i] = run(program_name, *sas[i], packets[i], *rngs[i]);
+      } catch (const std::exception& e) {
+        fail_lane(i, e);
+      }
+    }
     return results;
   }
+  // In the CCMP shapes the only per-packet throw is the SA's cipher set-up
+  // (a key of the wrong length), which run() reaches before any rng draw
+  // or replay update.
+  const auto lane_cipher =
+      [&](std::size_t i) -> const crypto::BlockCipher* {
+    try {
+      return &sa_cipher(*sas[i]);
+    } catch (const std::exception& e) {
+      fail_lane(i, e);
+      return nullptr;
+    }
+  };
 
   // The staged interpreter below replays run()'s per-instruction
   // semantics — the same cycle charges, the same drop points and
@@ -335,8 +359,9 @@ std::vector<ProtocolEngine::Result> ProtocolEngine::run_many(
       }
       r.cycles += profile_.parse_cycles_per_byte * hdr_len;
       r.cycles += cpi;  // kSealCcm
-      const auto& cipher = sa_cipher(*sas[i]);
-      if (cipher.block_size() != 16) {
+      const crypto::BlockCipher* cipher = lane_cipher(i);
+      if (cipher == nullptr) continue;
+      if (cipher->block_size() != 16) {
         r.drop_reason = "CCM needs AES";
         continue;
       }
@@ -404,8 +429,9 @@ std::vector<ProtocolEngine::Result> ProtocolEngine::run_many(
       continue;
     }
     r.cycles += cpi;  // kOpenCcm
-    const auto& cipher = sa_cipher(*sas[i]);
-    if (cipher.block_size() != 16) {
+    const crypto::BlockCipher* cipher = lane_cipher(i);
+    if (cipher == nullptr) continue;
+    if (cipher->block_size() != 16) {
       r.drop_reason = "CCM needs AES";
       continue;
     }

@@ -18,6 +18,23 @@
 //   * graceful close, and per-server counters plus a simulated-time
 //     handshake-latency histogram.
 //
+// Connection lifetime. Memory follows the connections that are open, not
+// every connection ever served. At its terminal transition (graceful or
+// idle close, failure) a connection releases its TlsServer endpoint, its
+// echo and deferred queues and its pipeline SA. Its table entry — a small
+// shell plus the ReliableLink — goes once the link is dead: failed, shut
+// down by the server (failure, idle close, refusal after the linger), or,
+// after a graceful close, reported dead by the bearer (the peer's EOF on
+// a socket, an exhausted retry budget). The drop is deferred to a
+// same-instant event, so no link dies inside its own callback and no
+// world's last event moves. On the sim bearer, which never reports EOF, a
+// gracefully closed link stays up to ack the peer's retransmits, so only
+// that shell and link outlive the close there. Connection ids are a
+// monotonic per-server counter and are never reused: every timer, linger,
+// offload completion and core-queue entry holds an id and looks it up, and
+// a miss is a no-op. A 32-bit id wraps after about 4x10^9 accepts on one
+// server (one shard).
+//
 // Single-threaded by design: every callback runs on the EventQueue, and
 // the only parallelism is inside PacketPipeline::run_batch — which is
 // deterministic — so a whole serving run is a pure function of its seeds.
@@ -25,6 +42,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -304,11 +322,16 @@ class SecureSessionServer {
   std::size_t ticket_state_bytes() const {
     return ticket_ring_ ? ticket_ring_->state_bytes() : 0;
   }
-  std::size_t open_connections() const;
+  std::size_t open_connections() const {
+    return handshakes_in_flight_ + established_count_;
+  }
   std::size_t handshakes_in_flight() const { return handshakes_in_flight_; }
   /// Connections in kEstablished — open == in_flight + established; O(1),
   /// for the sharded merge's per-barrier fleet snapshot.
   std::size_t established_connections() const { return established_count_; }
+  /// Entries in the live table: the open connections plus closed ones
+  /// whose link is still up or whose drop is pending this instant.
+  std::size_t live_connections() const { return connections_.size(); }
 
   /// Degraded (resumption-only) mode: current state and cumulative
   /// simulated time spent degraded, including the open stretch. Under a
@@ -339,6 +362,9 @@ class SecureSessionServer {
     kShed,  // refused by admission control; link lingers to deliver kRefused
   };
 
+  // One accepted connection. endpoint, rng, the queues and the pipeline
+  // SA are released at the terminal transition (release()); the entry
+  // itself lives until its link is dead (reap_later()).
   struct Connection {
     std::uint32_t id = 0;
     std::uint32_t wire_id = 0;  // on-the-wire SPI; == id unless sharded
@@ -355,7 +381,13 @@ class SecureSessionServer {
     std::size_t pending_echo_bytes = 0;
     std::deque<crypto::Bytes> deferred_appdata;  // backpressured inbound
     std::size_t deferred_bytes = 0;
+    double released_rsa_ops = 0;  // endpoint's private-key ops at release
   };
+
+  Connection* find(std::uint32_t id);  // nullptr once reaped
+  static double rsa_private_ops(const Connection& conn);
+  void release(Connection& conn);
+  void reap_later(std::uint32_t id);
 
   void on_message(std::uint32_t id, crypto::ConstBytes msg);
   void deliver_message(std::uint32_t id, crypto::ConstBytes msg);
@@ -388,7 +420,12 @@ class SecureSessionServer {
   std::unique_ptr<engine::OffloadEngine> offload_;
   std::unique_ptr<ticket::TicketKeyRing> ticket_ring_;
   std::unique_ptr<ticket::TicketCodec> ticket_codec_;
-  std::vector<std::unique_ptr<Connection>> connections_;  // index == id
+  // Live table, id-ordered: flush_pipeline walks it in accept order, so
+  // each SA's nonce stream does not depend on reaping.
+  std::map<std::uint32_t, std::unique_ptr<Connection>> connections_;
+  std::uint32_t next_id_ = 0;
+  std::vector<std::uint32_t> reap_list_;  // dead links, dropped this instant
+  bool reap_scheduled_ = false;
   bool flush_scheduled_ = false;
   std::size_t handshakes_in_flight_ = 0;  // connections in kHandshake
   std::size_t established_count_ = 0;     // connections in kEstablished

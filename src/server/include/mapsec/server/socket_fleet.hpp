@@ -93,10 +93,26 @@ class SocketServerFleet {
   std::size_t reset_open_sockets(std::size_t shard);
   std::uint64_t accepted_on(std::size_t shard);
 
+  /// One shard's connection state, read on its thread.
+  struct ShardState {
+    std::size_t live_connections = 0;  // server's live table
+    std::size_t open_connections = 0;  // handshaking + established
+    std::size_t pipeline_sas = 0;
+    std::size_t held_sockets = 0;  // accepted endpoints not yet swept
+    /// Heap held by the server's three handshake-latency vectors, the
+    /// one record that still grows with every handshake served.
+    std::size_t latency_record_bytes = 0;
+  };
+  ShardState state_of(std::size_t shard);
+
  private:
   struct Shard;
 
   void run_shard(Shard& shard);
+  /// Run `fn` on the shard's thread (inline when no thread runs) and
+  /// return its result.
+  template <typename Fn>
+  auto on_shard(Shard& shard, Fn fn) -> decltype(fn());
 
   SocketFleetConfig config_;
   std::vector<std::unique_ptr<Shard>> shards_;

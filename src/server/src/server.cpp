@@ -58,8 +58,7 @@ std::uint32_t SecureSessionServer::accept(net::Channel& tx,
 std::uint32_t SecureSessionServer::accept(net::Channel& tx,
                                           net::Channel& rx,
                                           const AcceptOptions& opts) {
-  const std::uint32_t id =
-      static_cast<std::uint32_t>(connections_.size());
+  const std::uint32_t id = next_id_++;
   auto conn = std::make_unique<Connection>();
   conn->id = id;
   conn->wire_id = opts.wire_id != 0 ? opts.wire_id : id;
@@ -77,12 +76,12 @@ std::uint32_t SecureSessionServer::accept(net::Channel& tx,
   });
   ++stats_.connections_accepted;
 
+  Connection& c = *connections_.emplace(id, std::move(conn)).first->second;
   if (should_refuse()) {
     // Shed before any handshake state exists: no TlsServer endpoint, no
     // timer, no queue slot — the refusal costs one message and a
     // lingering link.
-    refuse_connection(*conn);
-    connections_.push_back(std::move(conn));
+    refuse_connection(c);
     return id;
   }
 
@@ -92,7 +91,7 @@ std::uint32_t SecureSessionServer::accept(net::Channel& tx,
   protocol::HandshakeConfig hs = config_.handshake;
   hs.resumption_only = degraded();
   hs.async_pk = offload_ != nullptr;
-  if (conn->rng) hs.rng = conn->rng.get();
+  if (c.rng) hs.rng = c.rng.get();
   if (ticket_codec_) {
     // Lazy interval rotation: the ring advances when traffic samples the
     // clock (no self-rescheduling event, so an idle queue still drains).
@@ -101,15 +100,15 @@ std::uint32_t SecureSessionServer::accept(net::Channel& tx,
     hs.ticket_codec = ticket_codec_.get();
     hs.ticket_now_us = queue_.now();
   }
-  conn->endpoint = std::make_unique<protocol::TlsServer>(hs, cache_);
-  conn->handshake_timer =
+  c.endpoint = std::make_unique<protocol::TlsServer>(hs, cache_);
+  c.handshake_timer =
       queue_.schedule_in(config_.handshake_timeout_us, [this, id] {
-        Connection& c = *connections_[id];
-        c.handshake_timer = 0;
-        if (c.state == ConnState::kHandshake)
-          fail_connection(c, "handshake timeout");
+        Connection* timed = find(id);
+        if (timed == nullptr) return;
+        timed->handshake_timer = 0;
+        if (timed->state == ConnState::kHandshake)
+          fail_connection(*timed, "handshake timeout");
       });
-  connections_.push_back(std::move(conn));
   ++stats_.handshakes_started;
   ++handshakes_in_flight_;
   update_degraded();
@@ -140,11 +139,11 @@ void SecureSessionServer::refuse_connection(Connection& conn) {
   conn.link->send_message(make_msg(MsgKind::kRefused, {}));
   const std::uint32_t id = conn.id;
   queue_.schedule_in(config_.refusal_linger_us, [this, id] {
-    Connection& c = *connections_[id];
-    if (c.state == ConnState::kShed) {
-      c.state = ConnState::kClosed;
-      c.link->shutdown();
-    }
+    Connection* shed = find(id);
+    if (shed == nullptr || shed->state != ConnState::kShed) return;
+    shed->state = ConnState::kClosed;
+    shed->link->shutdown();
+    reap_later(id);
   });
 }
 
@@ -197,19 +196,10 @@ bool SecureSessionServer::stats_conserved() const {
              open_connections();
 }
 
-std::size_t SecureSessionServer::open_connections() const {
-  std::size_t open = 0;
-  for (const auto& conn : connections_)
-    if (conn->state == ConnState::kHandshake ||
-        conn->state == ConnState::kEstablished)
-      ++open;
-  return open;
-}
-
 std::size_t SecureSessionServer::fail_all_connections(
     const std::string& reason) {
   std::size_t failed = 0;
-  for (const auto& conn : connections_) {
+  for (const auto& [id, conn] : connections_) {
     if (conn->state != ConnState::kHandshake &&
         conn->state != ConnState::kEstablished)
       continue;
@@ -217,6 +207,45 @@ std::size_t SecureSessionServer::fail_all_connections(
     ++failed;
   }
   return failed;
+}
+
+SecureSessionServer::Connection* SecureSessionServer::find(std::uint32_t id) {
+  const auto it = connections_.find(id);
+  return it == connections_.end() ? nullptr : it->second.get();
+}
+
+double SecureSessionServer::rsa_private_ops(const Connection& conn) {
+  return conn.endpoint ? conn.endpoint->summary().rsa_private_ops
+                       : conn.released_rsa_ops;
+}
+
+void SecureSessionServer::release(Connection& conn) {
+  // Everything the session needed to serve traffic; what stays is the
+  // link (still acking after a graceful close, or dead and awaiting
+  // reap_later) and the bookkeeping shell.
+  if (conn.state == ConnState::kEstablished) pipeline_.remove_sa(conn.wire_id);
+  conn.released_rsa_ops = rsa_private_ops(conn);
+  conn.endpoint.reset();
+  conn.rng.reset();  // after the endpoint, which draws from it
+  conn.pending_echo.clear();
+  conn.pending_echo_bytes = 0;
+  conn.deferred_appdata.clear();
+  conn.deferred_bytes = 0;
+}
+
+void SecureSessionServer::reap_later(std::uint32_t id) {
+  // Deferred, never inline: the caller may be running inside the link's
+  // own callback, or hold a reference to the connection further up the
+  // stack. The drain runs at this same instant, so it can never be the
+  // event that stretches a world's sim duration.
+  reap_list_.push_back(id);
+  if (reap_scheduled_) return;
+  reap_scheduled_ = true;
+  queue_.schedule_in(0, [this] {
+    reap_scheduled_ = false;
+    for (const std::uint32_t dead : reap_list_) connections_.erase(dead);
+    reap_list_.clear();
+  });
 }
 
 void SecureSessionServer::on_message(std::uint32_t id,
@@ -246,15 +275,16 @@ void SecureSessionServer::on_message(std::uint32_t id,
 
 void SecureSessionServer::deliver_message(std::uint32_t id,
                                           crypto::ConstBytes msg) {
-  Connection& conn = *connections_[id];
+  Connection* found = find(id);
+  if (found == nullptr) return;  // reaped while queued behind the core
+  Connection& conn = *found;
   if (conn.state == ConnState::kClosed ||
       conn.state == ConnState::kFailed || conn.state == ConnState::kShed)
     return;
   conn.last_activity = queue_.now();
   const auto kind = static_cast<MsgKind>(msg[0]);
   const crypto::ConstBytes body = msg.subspan(1);
-  const double rsa_before =
-      conn.endpoint ? conn.endpoint->summary().rsa_private_ops : 0;
+  const double rsa_before = rsa_private_ops(conn);
   // Containment: whatever one connection's input does, only that
   // connection dies — the event loop and every other session survive.
   try {
@@ -292,9 +322,8 @@ void SecureSessionServer::charge_core(Connection& conn, MsgKind kind,
     // resumed handshake's flights stay cheap, which is the whole
     // resumption story. With an OffloadEngine the op runs on the
     // accelerator's lane clock instead, so the host core is not charged.
-    if (!offload_ && conn.endpoint) {
-      const double delta =
-          conn.endpoint->summary().rsa_private_ops - rsa_ops_before;
+    if (!offload_) {
+      const double delta = rsa_private_ops(conn) - rsa_ops_before;
       if (delta > 0) cost += delta * config_.core.us_per_pk_op;
     }
   } else if (kind == MsgKind::kAppData) {
@@ -352,14 +381,16 @@ void SecureSessionServer::submit_pk(Connection& conn) {
   offload_->submit(
       conn.endpoint->pending_pk_job(),
       [this, id](const protocol::PkResult& result) {
-        Connection& c = *connections_[id];
-        if (c.state != ConnState::kHandshake || !c.endpoint ||
-            !c.endpoint->pk_pending()) {
-          // Timed out / failed / closed while the job was in flight.
+        Connection* found = find(id);
+        if (found == nullptr || found->state != ConnState::kHandshake ||
+            !found->endpoint || !found->endpoint->pk_pending()) {
+          // Timed out / failed / closed (or already reaped) while the job
+          // was in flight.
           ++stats_.offload_dropped;
           mirror_offload_stats();
           return;
         }
+        Connection& c = *found;
         try {
           const crypto::Bytes out = c.endpoint->resume_pk(result);
           if (!out.empty())
@@ -484,7 +515,7 @@ void SecureSessionServer::flush_pipeline() {
   // interleaving within the flush window and of the worker count.
   std::vector<engine::PipelineJob> jobs;
   std::vector<std::pair<std::uint32_t, std::size_t>> meta;  // conn, plen
-  for (auto& conn_ptr : connections_) {
+  for (auto& [id, conn_ptr] : connections_) {
     Connection& conn = *conn_ptr;
     if (conn.state != ConnState::kEstablished) continue;
     while (!conn.pending_echo.empty()) {
@@ -506,19 +537,21 @@ void SecureSessionServer::flush_pipeline() {
       pipeline_.run_batch(jobs);
   for (std::size_t i = 0; i < results.size(); ++i) {
     const engine::PipelineResult& r = results[i];
-    Connection& conn = *connections_[meta[i].first];
+    Connection* conn = find(meta[i].first);
     stats_.engine_cycles += r.engine_cycles;
-    if (!r.accepted || conn.state != ConnState::kEstablished) continue;
+    if (!r.accepted || conn == nullptr ||
+        conn->state != ConnState::kEstablished)
+      continue;
     ++stats_.bulk_messages;
     stats_.bytes_sealed += meta[i].second;
     crypto::Bytes body = r.header;
     body.insert(body.end(), r.payload.begin(), r.payload.end());
-    conn.link->send_message(make_msg(MsgKind::kBulk, body));
+    conn->link->send_message(make_msg(MsgKind::kBulk, body));
   }
 
   // Queues drained: admit deferred application data (may re-arm the
   // flush timer).
-  for (auto& conn_ptr : connections_) {
+  for (auto& [id, conn_ptr] : connections_) {
     Connection& conn = *conn_ptr;
     while (!conn.deferred_appdata.empty() &&
            conn.state == ConnState::kEstablished &&
@@ -536,15 +569,17 @@ void SecureSessionServer::arm_idle_timer(Connection& conn) {
   conn.idle_timer = queue_.schedule_at(
       net::sat_add_time(conn.last_activity, config_.idle_timeout_us),
       [this, id] {
-        Connection& c = *connections_[id];
-        c.idle_timer = 0;
-        if (c.state != ConnState::kEstablished) return;
+        Connection* idle = find(id);
+        if (idle == nullptr) return;
+        idle->idle_timer = 0;
+        if (idle->state != ConnState::kEstablished) return;
         if (queue_.now() >=
-            net::sat_add_time(c.last_activity, config_.idle_timeout_us)) {
-          close_connection(c, &ServerStats::idle_closes);
-          c.link->shutdown();  // stop acking a peer we gave up on
+            net::sat_add_time(idle->last_activity, config_.idle_timeout_us)) {
+          close_connection(*idle, &ServerStats::idle_closes);
+          idle->link->shutdown();  // stop acking a peer we gave up on
+          reap_later(id);
         } else {
-          arm_idle_timer(c);  // activity since scheduling: re-arm
+          arm_idle_timer(*idle);  // activity since scheduling: re-arm
         }
       });
 }
@@ -554,11 +589,13 @@ void SecureSessionServer::close_connection(
   if (conn.handshake_timer) queue_.cancel(conn.handshake_timer);
   if (conn.idle_timer) queue_.cancel(conn.idle_timer);
   conn.handshake_timer = conn.idle_timer = 0;
+  release(conn);
   if (conn.state == ConnState::kEstablished) --established_count_;
   conn.state = ConnState::kClosed;
   ++(stats_.*counter);
   // The link stays up (unless the caller shuts it down): a graceful
-  // close still owes the peer the retransmission of its kCloseAck.
+  // close still owes the peer the retransmission of its kCloseAck. The
+  // entry goes once the link dies (on_link_error).
 }
 
 void SecureSessionServer::fail_connection(Connection& conn,
@@ -576,17 +613,23 @@ void SecureSessionServer::fail_connection(Connection& conn,
   } else if (conn.state == ConnState::kEstablished) {
     --established_count_;
   }
+  release(conn);
   conn.state = ConnState::kFailed;
   ++stats_.failed_connections;
   mirror_ticket_stats();  // garbage tickets show up as open failures
   conn.link->shutdown();
+  reap_later(conn.id);
 }
 
 void SecureSessionServer::on_link_error(std::uint32_t id,
                                         const std::string& reason) {
-  Connection& conn = *connections_[id];
-  if (conn.state == ConnState::kClosed ||
-      conn.state == ConnState::kFailed) {
+  Connection* found = find(id);
+  if (found == nullptr || found->state == ConnState::kFailed) return;
+  Connection& conn = *found;
+  if (conn.state == ConnState::kClosed) {
+    // A gracefully closed link is done too: the peer hung up (socket EOF)
+    // or stopped acking. Nothing can reach the connection any more.
+    reap_later(id);
     return;
   }
   if (conn.state == ConnState::kShed) {
@@ -594,6 +637,7 @@ void SecureSessionServer::on_link_error(std::uint32_t id,
     // connection just goes quiet; it was already accounted as refused.
     conn.state = ConnState::kClosed;
     conn.link->shutdown();
+    reap_later(id);
     return;
   }
   ++stats_.link_failures;

@@ -56,8 +56,10 @@ struct SocketServerFleet::Shard {
 
   void sweep() {
     // A closed endpoint's link has already failed or detached (bearer
-    // errors reach the link before the endpoint reports closed), so the
-    // endpoint can be reclaimed without dangling the connection.
+    // errors reach the link before the endpoint reports closed), and the
+    // server's same-instant drop of that connection ran in the poll turn
+    // that saw it close, so the endpoint can be reclaimed without
+    // dangling anything.
     for (auto it = endpoints.begin(); it != endpoints.end();) {
       if (!(*it)->open()) {
         closed_stats += (*it)->stats();
@@ -205,10 +207,17 @@ void SocketServerFleet::pause_accepts(std::size_t shard, bool paused) {
   done.get_future().wait();
 }
 
+template <typename Fn>
+auto SocketServerFleet::on_shard(Shard& shard, Fn fn) -> decltype(fn()) {
+  if (!started_ || stopped_) return fn();
+  std::promise<decltype(fn())> result;
+  shard.reactor.post([&result, &fn] { result.set_value(fn()); });
+  return result.get_future().get();
+}
+
 std::size_t SocketServerFleet::reset_open_sockets(std::size_t shard) {
   Shard& sh = *shards_[shard];
-  std::promise<std::size_t> count;
-  auto reset_all = [&sh, &count] {
+  return on_shard(sh, [&sh] {
     std::size_t n = 0;
     for (auto& ep : sh.endpoints) {
       if (ep->open()) {
@@ -216,22 +225,32 @@ std::size_t SocketServerFleet::reset_open_sockets(std::size_t shard) {
         ++n;
       }
     }
-    count.set_value(n);
-  };
-  if (!started_ || stopped_) {
-    reset_all();
-  } else {
-    sh.reactor.post(reset_all);
-  }
-  return count.get_future().get();
+    return n;
+  });
 }
 
 std::uint64_t SocketServerFleet::accepted_on(std::size_t shard) {
   Shard& sh = *shards_[shard];
-  if (!started_ || stopped_) return sh.listener->accepted();
-  std::promise<std::uint64_t> count;
-  sh.reactor.post([&sh, &count] { count.set_value(sh.listener->accepted()); });
-  return count.get_future().get();
+  return on_shard(sh, [&sh] { return sh.listener->accepted(); });
+}
+
+SocketServerFleet::ShardState SocketServerFleet::state_of(std::size_t shard) {
+  Shard& sh = *shards_[shard];
+  return on_shard(sh, [&sh] {
+    const SecureSessionServer& server = *sh.server;
+    const ServerStats& st = server.stats();
+    ShardState state;
+    state.live_connections = server.live_connections();
+    state.open_connections = server.open_connections();
+    state.pipeline_sas = server.pipeline().sa_count();
+    state.held_sockets = sh.endpoints.size();
+    state.latency_record_bytes =
+        (st.handshake_latencies_us.capacity() +
+         st.full_handshake_latencies_us.capacity() +
+         st.resumed_handshake_latencies_us.capacity()) *
+        sizeof(double);
+    return state;
+  });
 }
 
 // ---- SocketClientFleet ----------------------------------------------------

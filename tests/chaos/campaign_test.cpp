@@ -435,7 +435,12 @@ TEST_F(ChaosTest, OffloadWorkerStallIsStolenNotDeadlocked) {
                                         .all_workers = true,
                                         .stall_ns = 300'000'000});
 
-  const CampaignReport clean = CampaignRunner(cfg).run();
+  // The unstalled reference must not steal however loaded the host is:
+  // only its steal timeout sits far above any scheduling stall.
+  CampaignConfig unstalled = cfg;
+  unstalled.server.offload_steal_timeout_ms = 60'000;
+
+  const CampaignReport clean = CampaignRunner(unstalled).run();
   const CampaignReport report = CampaignRunner(stalled).run();
 
   EXPECT_TRUE(report.invariants_ok()) << report.invariant_failures;
@@ -517,7 +522,12 @@ TEST_F(ChaosTest, OffloadStallMidBatchIsStolenWholeWindow) {
   CampaignConfig unbatched = cfg;
   unbatched.server.offload_batch_width = 1;
 
-  const CampaignReport clean = CampaignRunner(cfg).run();
+  // The unstalled reference must not steal however loaded the host is:
+  // only its steal timeout sits far above any scheduling stall.
+  CampaignConfig unstalled = cfg;
+  unstalled.server.offload_steal_timeout_ms = 60'000;
+
+  const CampaignReport clean = CampaignRunner(unstalled).run();
   const CampaignReport report = CampaignRunner(stalled).run();
   const CampaignReport width1 = CampaignRunner(unbatched).run();
 

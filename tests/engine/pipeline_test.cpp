@@ -156,6 +156,93 @@ TEST(PipelineTest, UnknownSaIsDroppedNotFatal) {
   EXPECT_EQ(r[0].drop_reason, "unknown SA");
 }
 
+// A job whose program throws inside the batched CCM path (here: an SA
+// whose AES key has a length the cipher rejects) must come back dropped
+// with the exception's text, without taking its worker thread — and the
+// process — down, and without disturbing one byte of any other SA's
+// results in the same batch.
+TEST(PipelineTest, ThrowingJobInBatchedRunDropsAlone) {
+  constexpr std::uint32_t kBadSa = 7;  // same worker as SAs 1, 3 and 5
+  const auto ccmp_jobs = [](bool with_bad, const std::string& program) {
+    std::vector<PipelineJob> jobs;
+    for (std::uint32_t seq = 1; seq <= 4; ++seq) {
+      for (std::uint32_t id : {1u, kBadSa, 3u, 5u}) {
+        if (id == kBadSa && !with_bad) continue;
+        PipelineJob j;
+        j.sa_id = id;
+        j.program = program;
+        j.packet = make_header(0x1000 + id, seq);
+        j.packet.resize(j.packet.size() + 48, static_cast<std::uint8_t>(seq));
+        jobs.push_back(std::move(j));
+      }
+    }
+    return jobs;
+  };
+  const auto with_bad_sa = [] {
+    auto p = make_pipeline(2);
+    EngineSa bad;
+    bad.spi = 0x1000 + kBadSa;
+    bad.cipher = protocol::BulkCipher::kAes128;
+    bad.enc_key = Bytes(5, 0x42);
+    p->add_sa(kBadSa, bad);
+    return p;
+  };
+
+  for (const std::string program : {"ccmp-out", "ccmp-in"}) {
+    SCOPED_TRACE(program);
+    auto reference = make_pipeline(2);
+    const auto clean = reference->run_batch(ccmp_jobs(false, program));
+    auto p = with_bad_sa();
+    const auto jobs = ccmp_jobs(true, program);
+    const auto mixed = p->run_batch(jobs);
+    ASSERT_EQ(mixed.size(), jobs.size());
+
+    std::size_t k = 0, bad_drops = 0;
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      if (jobs[i].sa_id == kBadSa) {
+        EXPECT_FALSE(mixed[i].accepted);
+        EXPECT_NE(mixed[i].drop_reason.find("AES key must be"),
+                  std::string::npos)
+            << mixed[i].drop_reason;
+        EXPECT_EQ(mixed[i].engine_cycles, 0.0);
+        ++bad_drops;
+        continue;
+      }
+      const PipelineResult& want = clean[k++];
+      EXPECT_EQ(mixed[i].accepted, want.accepted) << i;
+      EXPECT_EQ(mixed[i].header, want.header) << i;
+      EXPECT_EQ(mixed[i].payload, want.payload) << i;
+      EXPECT_EQ(mixed[i].drop_reason, want.drop_reason) << i;
+      EXPECT_EQ(mixed[i].engine_cycles, want.engine_cycles) << i;
+    }
+    EXPECT_EQ(k, clean.size());
+    EXPECT_EQ(bad_drops, 4u);
+    for (std::uint32_t id : {1u, 3u, 5u}) {
+      EXPECT_EQ(p->sa(id).highest_seq, reference->sa(id).highest_seq);
+      EXPECT_EQ(p->sa(id).window, reference->sa(id).window);
+    }
+    // The pipeline is still serving after the throwing jobs.
+    const auto again = p->run_batch(ccmp_jobs(false, program));
+    EXPECT_EQ(again.size(), clean.size());
+  }
+}
+
+TEST(PipelineTest, RemovedSaDropsAsUnknown) {
+  auto p = make_pipeline(2);
+  EXPECT_EQ(p->sa_count(), kNumSas);
+  p->remove_sa(1);
+  p->remove_sa(1);  // idempotent
+  p->remove_sa(999);
+  EXPECT_EQ(p->sa_count(), kNumSas - 1);
+  PipelineJob j;
+  j.sa_id = 1;
+  j.program = "ccmp-out";
+  j.packet = make_header(0x1001, 1);
+  const auto r = p->run_batch({j});
+  EXPECT_FALSE(r[0].accepted);
+  EXPECT_EQ(r[0].drop_reason, "unknown SA");
+}
+
 TEST(PipelineTest, CcmpRejectsTamperedAad) {
   // Flipping a header (AAD) bit after sealing must fail the CCM open.
   auto p = make_pipeline(1);

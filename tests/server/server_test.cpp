@@ -1,13 +1,21 @@
 // mapsec::server tests: bounded resumption cache, handshakes over lossy
-// channels, retry/backoff clean failure, backpressure, idle reaping, and
-// the 1000-session soak whose transcript must be bit-identical for any
-// PacketPipeline worker count.
+// channels, retry/backoff clean failure, backpressure, idle reaping, the
+// 1000-session soak whose transcript must be bit-identical for any
+// PacketPipeline worker count, and connection reclamation: every deferred
+// callback that outlives its connection is a no-op.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "mapsec/crypto/rng.hpp"
+#include "mapsec/engine/protocol_engine.hpp"
+#include "mapsec/net/channel.hpp"
 #include "mapsec/platform/processor.hpp"
+#include "mapsec/server/client.hpp"
 #include "mapsec/server/load_gen.hpp"
+#include "mapsec/server/server.hpp"
 #include "mapsec/server/session_cache.hpp"
+#include "mapsec/server/wire.hpp"
 
 namespace mapsec::server {
 namespace {
@@ -338,6 +346,266 @@ TEST_F(ServerTest, SoakIsBitIdenticalAcrossWorkerCounts) {
   EXPECT_EQ(one.server.handshake_latencies_us,
             three.server.handshake_latencies_us);
   EXPECT_EQ(one.sim_duration_s, three.sim_duration_s);
+}
+
+// ------------------------------------------------ connection reclamation
+
+/// A hand-driven world: one server on one event queue, connections
+/// accepted one by one, each client a raw TlsClient on its own link.
+/// Member order is teardown order reversed: client links and endpoints
+/// go first, then the server, then the channels both sides reference.
+class ServerReapTest : public ServerTest {
+ protected:
+  struct World {
+    net::EventQueue queue;
+    crypto::HmacDrbg server_rng{0x4EA9};
+    std::vector<std::unique_ptr<net::DuplexChannel>> channels;
+    std::unique_ptr<SecureSessionServer> server;
+    std::vector<std::unique_ptr<crypto::HmacDrbg>> rngs;
+    std::vector<std::unique_ptr<protocol::TlsClient>> clients;
+    std::vector<std::unique_ptr<net::ReliableLink>> links;
+
+    explicit World(ServerConfig cfg) {
+      cfg.handshake.rng = &server_rng;
+      server = std::make_unique<SecureSessionServer>(queue, std::move(cfg),
+                                                     nullptr);
+    }
+
+    /// Accept one connection; `down` impairs the server-to-client way.
+    net::ReliableLink& connect(const net::ChannelConfig& down = {}) {
+      channels.push_back(std::make_unique<net::DuplexChannel>(
+          queue, net::ChannelConfig{}, down, 0xC0 + channels.size()));
+      net::DuplexChannel& ch = *channels.back();
+      server->accept(ch.b_to_a(), ch.a_to_b());
+      links.push_back(std::make_unique<net::ReliableLink>(
+          queue, ch.a_to_b(), ch.b_to_a(), net::LinkConfig{}));
+      return *links.back();
+    }
+
+    /// Start a TlsClient on `link` (ClientHello now) that answers every
+    /// handshake flight and ignores everything else.
+    protocol::TlsClient& handshake(net::ReliableLink& link) {
+      rngs.push_back(std::make_unique<crypto::HmacDrbg>(0x7E57 + rngs.size()));
+      protocol::HandshakeConfig hs = client_config().handshake;
+      hs.rng = rngs.back().get();
+      clients.push_back(std::make_unique<protocol::TlsClient>(hs));
+      protocol::TlsClient& tls = *clients.back();
+      link.set_on_message([&tls, &link](crypto::ConstBytes msg) {
+        if (msg.empty() || static_cast<MsgKind>(msg[0]) != MsgKind::kHandshake ||
+            tls.established())
+          return;
+        const protocol::HandshakeStep step =
+            protocol::step_handshake(tls, msg.subspan(1));
+        if (!step.output.empty())
+          link.send_message(make_msg(MsgKind::kHandshake, step.output));
+      });
+      const protocol::HandshakeStep hello = protocol::step_handshake(tls, {});
+      link.send_message(make_msg(MsgKind::kHandshake, hello.output));
+      return tls;
+    }
+  };
+
+  /// Server links that give up fast, so a black-holed peer dies in
+  /// ~140 ms of simulated time.
+  static ServerConfig fast_failing_config() {
+    ServerConfig cfg = server_config();
+    cfg.link.max_retries = 2;
+    cfg.link.initial_rto_us = 20'000;
+    return cfg;
+  }
+
+  static net::ChannelConfig black_hole() {
+    net::ChannelConfig down;
+    down.loss_rate = 1.0;
+    return down;
+  }
+};
+
+// A connection whose link dies mid-handshake is failed once and dropped;
+// its handshake deadline passing later changes nothing.
+TEST_F(ServerReapTest, HandshakeTimerOfReapedConnectionIsANoOp) {
+  ServerConfig cfg = fast_failing_config();
+  cfg.handshake_timeout_us = 500'000;
+  World w(cfg);
+  w.handshake(w.connect(black_hole()));
+
+  w.queue.run_until(300'000);
+  const ServerStats& st = w.server->stats();
+  ASSERT_EQ(st.link_failures, 1u);
+  EXPECT_EQ(st.handshakes_failed, 1u);
+  EXPECT_EQ(w.server->live_connections(), 0u);
+
+  w.queue.run_until(2'000'000);  // well past the handshake deadline
+  EXPECT_EQ(st.handshakes_failed, 1u);
+  EXPECT_EQ(st.failed_connections, 1u);
+  EXPECT_EQ(w.server->open_connections(), 0u);
+  EXPECT_TRUE(w.server->stats_conserved());
+}
+
+// An established connection that fails on garbage is dropped at once
+// (SA and all); its idle deadline passing later closes nothing.
+TEST_F(ServerReapTest, IdleTimerOfReapedConnectionIsANoOp) {
+  ServerConfig cfg = server_config();
+  cfg.idle_timeout_us = 1'000'000;
+  World w(cfg);
+  net::ReliableLink& link = w.connect();
+  const protocol::TlsClient& tls = w.handshake(link);
+  w.queue.run_until(200'000);
+  ASSERT_TRUE(tls.established());
+  EXPECT_EQ(w.server->established_connections(), 1u);
+  EXPECT_EQ(w.server->pipeline().sa_count(), 1u);
+
+  link.send_message(make_msg(MsgKind::kAppData, Bytes(40, 0xEE)));
+  w.queue.run_until(300'000);
+  const ServerStats& st = w.server->stats();
+  ASSERT_EQ(st.failed_connections, 1u);
+  EXPECT_EQ(w.server->live_connections(), 0u);
+  EXPECT_EQ(w.server->pipeline().sa_count(), 0u);
+
+  w.queue.run_until(5'000'000);
+  EXPECT_EQ(st.idle_closes, 0u);
+  EXPECT_EQ(st.failed_connections, 1u);
+  EXPECT_TRUE(w.server->stats_conserved());
+}
+
+// A refused connection whose kRefused cannot be delivered is dropped when
+// its link gives up; the refusal linger firing afterwards is a no-op, and
+// the admitted connection is untouched.
+TEST_F(ServerReapTest, RefusalLingerOfReapedConnectionIsANoOp) {
+  ServerConfig cfg = fast_failing_config();
+  cfg.max_open_connections = 1;
+  cfg.handshake_timeout_us = 10'000'000;  // the admitted one stays open
+  cfg.refusal_linger_us = 1'000'000;
+  World w(cfg);
+  w.connect();               // admitted, silent
+  w.connect(black_hole());   // refused; kRefused never arrives
+  EXPECT_EQ(w.server->live_connections(), 2u);
+
+  w.queue.run_until(500'000);  // the shed link has failed by now
+  const ServerStats& st = w.server->stats();
+  EXPECT_EQ(st.refused_connections, 1u);
+  EXPECT_EQ(w.server->live_connections(), 1u);
+
+  w.queue.run_until(3'000'000);  // past the linger
+  EXPECT_EQ(st.refused_connections, 1u);
+  EXPECT_EQ(st.failed_connections, 0u);
+  EXPECT_EQ(w.server->open_connections(), 1u);
+  EXPECT_EQ(w.server->live_connections(), 1u);
+  EXPECT_TRUE(w.server->stats_conserved());
+}
+
+// A private-key job that completes after its connection timed out and was
+// dropped counts as offload_dropped and touches nothing else.
+TEST_F(ServerReapTest, OffloadCompletionForReapedConnectionCountsDropped) {
+  ServerConfig cfg = server_config();
+  cfg.offload_workers = 1;
+  cfg.offload_costs.rsa_decrypt_us = 2'000'000;  // finishes after the timeout
+  cfg.handshake_timeout_us = 500'000;
+  World w(cfg);
+  w.handshake(w.connect());
+
+  w.queue.run_until(1'000'000);
+  const ServerStats& st = w.server->stats();
+  ASSERT_EQ(st.offload_submitted, 1u);
+  EXPECT_EQ(st.handshakes_failed, 1u);
+  EXPECT_EQ(w.server->live_connections(), 0u);
+  EXPECT_EQ(st.offload_dropped, 0u);
+
+  w.queue.run_until(4'000'000);
+  EXPECT_EQ(st.offload_completed, 1u);
+  EXPECT_EQ(st.offload_dropped, 1u);
+  EXPECT_EQ(st.handshakes_failed, 1u);
+  EXPECT_EQ(st.handshakes_completed, 0u);
+  EXPECT_TRUE(w.server->stats_conserved());
+}
+
+// A flight queued behind the modeled core whose connection timed out and
+// was dropped meanwhile is discarded when the core frees up.
+TEST_F(ServerReapTest, CoreQueueMessageForReapedConnectionIsANoOp) {
+  ServerConfig cfg = server_config();
+  cfg.core.us_per_flight = 1'000'000;  // the first flight holds the core
+  cfg.handshake_timeout_us = 300'000;
+  World w(cfg);
+  w.handshake(w.connect());
+  w.handshake(w.connect());  // its ClientHello queues behind the first's
+
+  w.queue.run_until(500'000);
+  const ServerStats& st = w.server->stats();
+  // The second ClientHello and the first client's key-exchange flight.
+  ASSERT_EQ(st.core_deferred_msgs, 2u);
+  EXPECT_EQ(st.handshakes_failed, 2u);
+  EXPECT_EQ(w.server->live_connections(), 0u);
+
+  w.queue.run_until(3'000'000);  // the core drains into a dropped id
+  EXPECT_EQ(st.handshakes_failed, 2u);
+  EXPECT_EQ(st.failed_connections, 2u);
+  EXPECT_EQ(st.poisoned_connections, 0u);
+  EXPECT_EQ(st.core_busy_us, 1'000'000.0);  // nobody else was served
+  EXPECT_TRUE(w.server->stats_conserved());
+}
+
+// The O(1) counters against a lossy world stepped one event at a time:
+// the books balance after every event, every open connection is in the
+// live table, and the pipeline holds exactly one SA per established
+// connection. At the end only gracefully closed links the sim bearer
+// keeps up to ack retransmits remain.
+TEST_F(ServerReapTest, CountersTrackTheLiveTableThroughALossSweep) {
+  for (const double loss : {0.0, 0.05, 0.20}) {
+    SCOPED_TRACE(loss);
+    net::ChannelConfig channel;
+    channel.loss_rate = loss;
+    channel.dup_rate = loss / 2;
+    channel.reorder_rate = loss;
+
+    net::EventQueue queue;
+    crypto::HmacDrbg server_rng(0x5EED);
+    std::vector<std::unique_ptr<net::DuplexChannel>> channels;
+    ServerConfig cfg = server_config();
+    cfg.handshake.rng = &server_rng;
+    cfg.idle_timeout_us = 2'000'000;
+    SecureSessionServer server(queue, cfg, nullptr);
+    crypto::HmacDrbg engine_rng(0xE9);
+    engine::ProtocolEngine engine(cfg.engine_profile, &engine_rng);
+    engine.load_program("ccmp-in", engine::ccmp_inbound_program());
+
+    ClientConfig client = client_config();
+    client.payloads_per_session = 2;
+    std::vector<std::unique_ptr<SessionClient>> clients;
+    for (std::uint32_t i = 0; i < 12; ++i) {
+      auto c = std::make_unique<SessionClient>(queue, client, i, engine,
+                                               0xC11E + i);
+      c->set_connect([&](SessionClient&) {
+        channels.push_back(std::make_unique<net::DuplexChannel>(
+            queue, channel, channel, 0xB0A7 + channels.size()));
+        net::DuplexChannel& ch = *channels.back();
+        server.accept(ch.b_to_a(), ch.a_to_b());
+        return std::make_unique<net::ReliableLink>(queue, ch.a_to_b(),
+                                                   ch.b_to_a(), client.link);
+      });
+      c->schedule_start(static_cast<net::SimTime>(i) * 3'000);
+      clients.push_back(std::move(c));
+    }
+
+    std::size_t steps = 0, peak_live = 0;
+    while (queue.run_one()) {
+      ++steps;
+      ASSERT_TRUE(server.stats_conserved()) << "after event " << steps;
+      ASSERT_LE(server.open_connections(), server.live_connections());
+      ASSERT_EQ(server.pipeline().sa_count(),
+                server.established_connections());
+      peak_live = std::max(peak_live, server.live_connections());
+    }
+    std::size_t completed = 0;
+    for (const auto& c : clients)
+      for (const SessionRecord& r : c->sessions()) completed += r.completed;
+    EXPECT_EQ(completed, 12u);
+    EXPECT_GT(peak_live, 0u);
+    EXPECT_EQ(server.open_connections(), 0u);
+    EXPECT_LE(server.live_connections(), server.stats().graceful_closes);
+    EXPECT_EQ(server.stats().connections_accepted,
+              server.stats().graceful_closes + server.stats().idle_closes +
+                  server.stats().failed_connections);
+  }
 }
 
 }  // namespace

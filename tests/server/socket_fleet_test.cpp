@@ -2,8 +2,17 @@
 // through the sim LoadGenerator (loss-free channels) and once over real
 // loopback TCP, and every session outcome — handshake mix, completion
 // counts, echoes, fleet transcript digest — must be identical. Plus the
-// chaos hooks (hard resets, paused accepts) against live shards.
+// chaos hooks (hard resets, paused accepts) against live shards, and the
+// bounded-state check: server memory follows the open connections, not
+// the sessions served.
 #include <gtest/gtest.h>
+#include <malloc.h>
+
+#include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <cstdio>
+#include <thread>
 
 #include "mapsec/crypto/rng.hpp"
 #include "mapsec/platform/processor.hpp"
@@ -17,6 +26,17 @@ using crypto::Bytes;
 using protocol::CipherSuite;
 
 constexpr std::uint64_t kNow = 1'050'000'000;  // ~2003
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+// The sanitizer runtimes replace malloc; glibc's arenas sit idle there.
+extern "C" std::size_t __sanitizer_get_current_allocated_bytes();
+std::size_t heap_in_use() { return __sanitizer_get_current_allocated_bytes(); }
+#else
+std::size_t heap_in_use() {
+  const struct mallinfo2 mi = mallinfo2();
+  return mi.uordblks + mi.hblkhd;  // small chunks in use + mmapped blocks
+}
+#endif
 
 #define REQUIRE_SOCKETS()                                          \
   do {                                                             \
@@ -214,6 +234,131 @@ TEST_F(SocketFleetTest, PausedAcceptsHoldTheDoorThenDrain) {
   ASSERT_TRUE(reactor.run_until(
       [&fleet] { return fleet.accepted_on(0) == 2; }, 5'000'000));
   fleet.stop();
+}
+
+// Bounded server state on real sockets: serve 2k and then 20k
+// ticket-resumption sessions (the loopbench resume_ticket shape: a few
+// handsets, one connection per session, one 256 B echo each). While the
+// clients run, every sample of each shard must find its live table no
+// larger than the sockets it still holds and its pipeline SAs no more than
+// its open connections. Once the fleets are quiet, the heap in use —
+// less the handshake-latency record, which still grows per handshake —
+// must be the same within 5% after 20k sessions as after 2k.
+TEST_F(SocketFleetTest, ServerStateBoundedByOpenConnections) {
+  REQUIRE_SOCKETS();
+  constexpr std::size_t kClients = 4;
+  constexpr std::size_t kShards = 2;
+
+  ServerConfig server = server_config();
+  server.ticket.enabled = true;
+  BoundedSessionCache::Config cache;
+  cache.capacity = 0;  // resumption through tickets alone
+
+  struct Run {
+    std::size_t heap = 0;
+    std::size_t peak_live = 0;
+    std::size_t samples = 0;
+  };
+  const auto serve = [&](std::size_t sessions) {
+    SCOPED_TRACE(std::to_string(sessions) + " sessions");
+    ClientConfig client = client_config();
+    client.sessions = static_cast<int>(sessions / kClients);
+    client.use_session_tickets = true;
+    client.payloads_per_session = 1;
+    client.payload_bytes = 256;
+    client.think_time_us = 0;
+
+    SocketFleetConfig fleet_cfg;
+    fleet_cfg.shards = kShards;
+    SocketServerFleet fleet(fleet_cfg, server, cache);
+    EXPECT_TRUE(fleet.ok());
+    fleet.start();
+
+    SocketLoadConfig load;
+    load.num_clients = kClients;
+    load.wall_budget_us = 600'000'000;
+    std::size_t completed = 0;
+    std::size_t echo_mismatches = 0;
+    std::atomic<bool> done{false};
+    std::thread load_thread([&] {
+      SocketClientFleet clients(load, client, server, fleet.ports());
+      const SocketClientReport r = clients.run();
+      completed = r.sessions_completed;
+      echo_mismatches = r.echo_mismatches;
+      done.store(true, std::memory_order_release);
+    });
+
+    Run run;
+    std::size_t violations = 0;
+    std::string first_violation;
+    const auto sample = [&] {
+      for (std::size_t s = 0; s < kShards; ++s) {
+        const SocketServerFleet::ShardState st = fleet.state_of(s);
+        ++run.samples;
+        run.peak_live = std::max(run.peak_live, st.live_connections);
+        if (st.live_connections <= st.held_sockets &&
+            st.pipeline_sas <= st.open_connections)
+          continue;
+        if (violations++ == 0)
+          first_violation = "shard " + std::to_string(s) + ": live " +
+                            std::to_string(st.live_connections) + ", sockets " +
+                            std::to_string(st.held_sockets) + ", SAs " +
+                            std::to_string(st.pipeline_sas) + ", open " +
+                            std::to_string(st.open_connections);
+      }
+    };
+    while (!done.load(std::memory_order_acquire)) {
+      sample();
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    load_thread.join();
+    EXPECT_EQ(completed, sessions);
+    EXPECT_EQ(echo_mismatches, 0u);
+
+    // Quiet: the clients closed every socket; wait until the shards have
+    // swept them and dropped every connection.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    const auto quiet = [&] {
+      for (std::size_t s = 0; s < kShards; ++s) {
+        const SocketServerFleet::ShardState st = fleet.state_of(s);
+        if (st.held_sockets != 0 || st.live_connections != 0) return false;
+      }
+      return true;
+    };
+    while (!quiet() && std::chrono::steady_clock::now() < deadline)
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    sample();
+    EXPECT_EQ(violations, 0u) << "first: " << first_violation;
+    EXPECT_TRUE(quiet()) << "connections left after every client closed";
+
+    std::size_t latency_bytes = 0;
+    for (std::size_t s = 0; s < kShards; ++s) {
+      const SocketServerFleet::ShardState st = fleet.state_of(s);
+      EXPECT_EQ(st.pipeline_sas, 0u);
+      latency_bytes += st.latency_record_bytes;
+    }
+    run.heap = heap_in_use() - latency_bytes;
+
+    const SocketServerFleet::Report report = fleet.stop();
+    EXPECT_TRUE(report.conserved);
+    EXPECT_EQ(report.server.handshakes_completed, sessions);
+    EXPECT_EQ(report.server.full_handshakes, kClients);  // one per handset
+    return run;
+  };
+
+  const Run small = serve(2'000);
+  const Run large = serve(20'000);
+  EXPECT_GT(small.samples, 0u);
+  EXPECT_GT(large.samples, 0u);
+  const std::size_t diff = small.heap > large.heap ? small.heap - large.heap
+                                                   : large.heap - small.heap;
+  EXPECT_LE(diff, small.heap / 20)
+      << "heap after 2k sessions " << small.heap << " B, after 20k "
+      << large.heap << " B";
+  std::printf("heap in use less latency record: %zu B after 2k sessions, "
+              "%zu B after 20k; peak live connections per shard %zu / %zu\n",
+              small.heap, large.heap, small.peak_live, large.peak_live);
 }
 
 }  // namespace
