@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <initializer_list>
 
 #include "mapsec/platform/accelerator.hpp"
 #include "mapsec/platform/energy.hpp"
@@ -463,6 +464,291 @@ TEST(AccelTest, ShardedServingGapSplitsLoadAndChargesBarrierTax) {
       serving_gap_sharded(model, proc, load, 4, 10'000);
   EXPECT_NEAR(coarse.merge_overhead_mips, 0.2, 1e-9);
   EXPECT_LT(coarse.per_shard_required_mips, four.per_shard_required_mips);
+}
+
+// ---- serving-gap pins ------------------------------------------------------
+//
+// Every field of every serving-gap report, as exact doubles, for two fixed
+// loads: one with resumptions and bulk, and one with no completed sessions
+// and no bulk (the sessions_per_s and bulk_mbps fallback branches). Any
+// pricing change, down to the last bit, fails here and names the field.
+
+struct Pinned {
+  const char* field;
+  double got;
+  double want;
+};
+#define PIN(expr, want) Pinned{#expr, expr, want}
+
+void expect_pinned(std::initializer_list<Pinned> pins) {
+  for (const Pinned& p : pins) EXPECT_EQ(p.got, p.want) << p.field;
+}
+
+constexpr std::size_t kPinLanes = 2;
+constexpr double kPinLaneOpS = 0.13;
+constexpr std::size_t kPinBatchWidth = 4;
+constexpr double kPinBatchMarginal = 0.3;
+constexpr double kPinRingBytes = 1024;
+constexpr double kPinCacheBytes = 153'600;
+constexpr std::size_t kPinShards = 4;
+constexpr double kPinSliceUs = 1'000;
+constexpr double kPinReconnects = 150;
+constexpr double kPinBlackoutS = 0.25;
+
+TEST(ServingGapPinTest, ResumingBulkLoad) {
+  ServedLoad load;
+  load.full_handshakes_per_s = 20;
+  load.resumed_handshakes_per_s = 60;
+  load.bulk_mbps = 8;
+  load.avg_session_kb = 48;
+  load.sessions_per_s = 80;
+  const auto model = WorkloadModel::paper_calibrated();
+  const Processor proc = Processor::strongarm_sa1100();
+  const ServingGapReport plain = serving_gap(model, proc, load);
+  const ServingGapReport accel =
+      serving_gap(model, AccelProfile::isa_dispatch(), proc, load);
+  const OffloadGapReport off = serving_gap_offloaded(
+      model, proc, load, kPinLanes, kPinLaneOpS);
+  const BatchedGapReport bat =
+      serving_gap_batched(model, proc, load, kPinLanes, kPinLaneOpS,
+                          kPinBatchWidth, kPinBatchMarginal);
+  const TicketGapReport tk = serving_gap_ticket(
+      model, proc, load, kPinRingBytes, kPinCacheBytes);
+  const ShardedGapReport sh =
+      serving_gap_sharded(model, proc, load, kPinShards, kPinSliceUs);
+  const FailoverGapReport fo = serving_gap_failover(
+      model, proc, load, kPinShards, kPinSliceUs, kPinReconnects,
+      kPinBlackoutS);
+  expect_pinned({
+      PIN(plain.handshake_mips, 1120.0),
+      PIN(plain.bulk_mips, 521.03999999999996),
+      PIN(plain.required_mips, 1641.04),
+      PIN(plain.available_mips, 235.0),
+      PIN(plain.gap_ratio, 6.9831489361702124),
+      PIN(plain.session_mj, 67.337268735999999),
+      PIN(plain.sessions_per_charge, 386116.04670119064),
+  });
+  expect_pinned({
+      PIN(accel.handshake_mips, 1018.1818181818181),
+      PIN(accel.bulk_mips, 93.840000000000003),
+      PIN(accel.required_mips, 1112.0218181818182),
+      PIN(accel.available_mips, 235.0),
+      PIN(accel.gap_ratio, 4.7320077369439071),
+      PIN(accel.session_mj, 13.4674537472),
+      PIN(accel.sessions_per_charge, 1930580.2335059531),
+  });
+  expect_pinned({
+      PIN(off.host.handshake_mips, 0.0),
+      PIN(off.host.bulk_mips, 521.03999999999996),
+      PIN(off.host.required_mips, 521.03999999999996),
+      PIN(off.host.available_mips, 235.0),
+      PIN(off.host.gap_ratio, 2.217191489361702),
+      PIN(off.host.session_mj, 45.917268735999997),
+      PIN(off.host.sessions_per_charge, 566235.76958564855),
+      PIN(off.pk_ops_per_s, 20.0),
+      PIN(off.lane_service_s, 0.13),
+      PIN(off.lanes, 2.0),
+      PIN(off.lane_utilisation, 1.3),
+      PIN(off.min_lanes, 3.0),
+  });
+  expect_pinned({
+      PIN(bat.offload.host.handshake_mips, 0.0),
+      PIN(bat.offload.host.bulk_mips, 521.03999999999996),
+      PIN(bat.offload.host.required_mips, 521.03999999999996),
+      PIN(bat.offload.host.available_mips, 235.0),
+      PIN(bat.offload.host.gap_ratio, 2.217191489361702),
+      PIN(bat.offload.host.session_mj, 45.917268735999997),
+      PIN(bat.offload.host.sessions_per_charge, 566235.76958564855),
+      PIN(bat.offload.pk_ops_per_s, 20.0),
+      PIN(bat.offload.lane_service_s, 0.13),
+      PIN(bat.offload.lanes, 2.0),
+      PIN(bat.offload.lane_utilisation, 1.3),
+      PIN(bat.offload.min_lanes, 3.0),
+      PIN(bat.batch_width, 4.0),
+      PIN(bat.batch_marginal, 0.29999999999999999),
+      PIN(bat.effective_op_s, 0.061749999999999999),
+      PIN(bat.batched_utilisation, 0.61749999999999994),
+      PIN(bat.throughput_gain, 2.1052631578947367),
+      PIN(bat.min_lanes, 2.0),
+  });
+  expect_pinned({
+      PIN(tk.host.handshake_mips, 1120.0),
+      PIN(tk.host.bulk_mips, 521.03999999999996),
+      PIN(tk.host.required_mips, 1641.8463999999999),
+      PIN(tk.host.available_mips, 235.0),
+      PIN(tk.host.gap_ratio, 6.9865804255319146),
+      PIN(tk.host.session_mj, 67.337268735999999),
+      PIN(tk.host.sessions_per_charge, 386116.04670119064),
+      PIN(tk.ticket_open_mips, 0.69120000000000004),
+      PIN(tk.ticket_seal_mips, 0.1152),
+      PIN(tk.server_state_bytes, 1024.0),
+      PIN(tk.cache_state_bytes, 153600.0),
+      PIN(tk.state_ratio, 150.0),
+  });
+  expect_pinned({
+      PIN(sh.fleet.handshake_mips, 1120.0),
+      PIN(sh.fleet.bulk_mips, 521.03999999999996),
+      PIN(sh.fleet.required_mips, 1641.04),
+      PIN(sh.fleet.available_mips, 235.0),
+      PIN(sh.fleet.gap_ratio, 6.9831489361702124),
+      PIN(sh.fleet.session_mj, 67.337268735999999),
+      PIN(sh.fleet.sessions_per_charge, 386116.04670119064),
+      PIN(sh.shards, 4.0),
+      PIN(sh.merge_overhead_mips, 2.0),
+      PIN(sh.per_shard_required_mips, 412.25999999999999),
+      PIN(sh.shard_utilisation, 1.7542978723404254),
+      PIN(sh.min_shards, 8.0),
+  });
+  expect_pinned({
+      PIN(fo.steady.fleet.handshake_mips, 1120.0),
+      PIN(fo.steady.fleet.bulk_mips, 521.03999999999996),
+      PIN(fo.steady.fleet.required_mips, 1641.04),
+      PIN(fo.steady.fleet.available_mips, 235.0),
+      PIN(fo.steady.fleet.gap_ratio, 6.9831489361702124),
+      PIN(fo.steady.fleet.session_mj, 67.337268735999999),
+      PIN(fo.steady.fleet.sessions_per_charge, 386116.04670119064),
+      PIN(fo.steady.shards, 4.0),
+      PIN(fo.steady.merge_overhead_mips, 2.0),
+      PIN(fo.steady.per_shard_required_mips, 412.25999999999999),
+      PIN(fo.steady.shard_utilisation, 1.7542978723404254),
+      PIN(fo.steady.min_shards, 8.0),
+      PIN(fo.surviving_shards, 3.0),
+      PIN(fo.degraded_required_mips, 550.21333333333337),
+      PIN(fo.degraded_utilisation, 2.3413333333333335),
+      PIN(fo.blackout_s, 0.25),
+      PIN(fo.reconnect_sessions, 150.0),
+      PIN(fo.burst_mips, 3.6000000000000001),
+      PIN(fo.crash_energy_mj, 1.53),
+      PIN(fo.crash_energy_full_mj, 14280.0),
+      PIN(fo.ticket_saving_ratio, 9333.3333333333339),
+  });
+}
+
+TEST(ServingGapPinTest, NoSessionsNoBulkFallbacks) {
+  ServedLoad load;
+  load.full_handshakes_per_s = 12;
+  load.resumed_handshakes_per_s = 30;
+  load.avg_session_kb = 16;  // bulk_mbps and sessions_per_s stay 0
+  const auto model = WorkloadModel::paper_calibrated();
+  const Processor proc = Processor::strongarm_sa1100();
+  const ServingGapReport plain = serving_gap(model, proc, load);
+  const ServingGapReport accel =
+      serving_gap(model, AccelProfile::isa_dispatch(), proc, load);
+  const OffloadGapReport off = serving_gap_offloaded(
+      model, proc, load, kPinLanes, kPinLaneOpS);
+  const BatchedGapReport bat =
+      serving_gap_batched(model, proc, load, kPinLanes, kPinLaneOpS,
+                          kPinBatchWidth, kPinBatchMarginal);
+  const TicketGapReport tk = serving_gap_ticket(
+      model, proc, load, kPinRingBytes, kPinCacheBytes);
+  const ShardedGapReport sh =
+      serving_gap_sharded(model, proc, load, kPinShards, kPinSliceUs);
+  const FailoverGapReport fo = serving_gap_failover(
+      model, proc, load, kPinShards, kPinSliceUs, kPinReconnects,
+      kPinBlackoutS);
+  expect_pinned({
+      PIN(plain.handshake_mips, 672.0),
+      PIN(plain.bulk_mips, 0.0),
+      PIN(plain.required_mips, 672.0),
+      PIN(plain.available_mips, 235.0),
+      PIN(plain.gap_ratio, 2.8595744680851065),
+      PIN(plain.session_mj, 109.71242291200001),
+      PIN(plain.sessions_per_charge, 236983.19032526077),
+  });
+  expect_pinned({
+      PIN(accel.handshake_mips, 610.90909090909088),
+      PIN(accel.bulk_mips, 0.0),
+      PIN(accel.required_mips, 610.90909090909088),
+      PIN(accel.available_mips, 235.0),
+      PIN(accel.gap_ratio, 2.599613152804642),
+      PIN(accel.session_mj, 21.942484582400002),
+      PIN(accel.sessions_per_charge, 1184915.9516263038),
+  });
+  expect_pinned({
+      PIN(off.host.handshake_mips, 0.0),
+      PIN(off.host.bulk_mips, 0.0),
+      PIN(off.host.required_mips, 0.0),
+      PIN(off.host.available_mips, 235.0),
+      PIN(off.host.gap_ratio, 0.0),
+      PIN(off.host.session_mj, 119.232422912),
+      PIN(off.host.sessions_per_charge, 218061.49170674331),
+      PIN(off.pk_ops_per_s, 12.0),
+      PIN(off.lane_service_s, 0.13),
+      PIN(off.lanes, 2.0),
+      PIN(off.lane_utilisation, 0.78000000000000003),
+      PIN(off.min_lanes, 2.0),
+  });
+  expect_pinned({
+      PIN(bat.offload.host.handshake_mips, 0.0),
+      PIN(bat.offload.host.bulk_mips, 0.0),
+      PIN(bat.offload.host.required_mips, 0.0),
+      PIN(bat.offload.host.available_mips, 235.0),
+      PIN(bat.offload.host.gap_ratio, 0.0),
+      PIN(bat.offload.host.session_mj, 119.232422912),
+      PIN(bat.offload.host.sessions_per_charge, 218061.49170674331),
+      PIN(bat.offload.pk_ops_per_s, 12.0),
+      PIN(bat.offload.lane_service_s, 0.13),
+      PIN(bat.offload.lanes, 2.0),
+      PIN(bat.offload.lane_utilisation, 0.78000000000000003),
+      PIN(bat.offload.min_lanes, 2.0),
+      PIN(bat.batch_width, 4.0),
+      PIN(bat.batch_marginal, 0.29999999999999999),
+      PIN(bat.effective_op_s, 0.061749999999999999),
+      PIN(bat.batched_utilisation, 0.3705),
+      PIN(bat.throughput_gain, 2.1052631578947367),
+      PIN(bat.min_lanes, 1.0),
+  });
+  expect_pinned({
+      PIN(tk.host.handshake_mips, 672.0),
+      PIN(tk.host.bulk_mips, 0.0),
+      PIN(tk.host.required_mips, 672.41471999999999),
+      PIN(tk.host.available_mips, 235.0),
+      PIN(tk.host.gap_ratio, 2.861339234042553),
+      PIN(tk.host.session_mj, 109.71242291200001),
+      PIN(tk.host.sessions_per_charge, 236983.19032526077),
+      PIN(tk.ticket_open_mips, 0.34560000000000002),
+      PIN(tk.ticket_seal_mips, 0.069120000000000001),
+      PIN(tk.server_state_bytes, 1024.0),
+      PIN(tk.cache_state_bytes, 153600.0),
+      PIN(tk.state_ratio, 150.0),
+  });
+  expect_pinned({
+      PIN(sh.fleet.handshake_mips, 672.0),
+      PIN(sh.fleet.bulk_mips, 0.0),
+      PIN(sh.fleet.required_mips, 672.0),
+      PIN(sh.fleet.available_mips, 235.0),
+      PIN(sh.fleet.gap_ratio, 2.8595744680851065),
+      PIN(sh.fleet.session_mj, 109.71242291200001),
+      PIN(sh.fleet.sessions_per_charge, 236983.19032526077),
+      PIN(sh.shards, 4.0),
+      PIN(sh.merge_overhead_mips, 2.0),
+      PIN(sh.per_shard_required_mips, 170.0),
+      PIN(sh.shard_utilisation, 0.72340425531914898),
+      PIN(sh.min_shards, 3.0),
+  });
+  expect_pinned({
+      PIN(fo.steady.fleet.handshake_mips, 672.0),
+      PIN(fo.steady.fleet.bulk_mips, 0.0),
+      PIN(fo.steady.fleet.required_mips, 672.0),
+      PIN(fo.steady.fleet.available_mips, 235.0),
+      PIN(fo.steady.fleet.gap_ratio, 2.8595744680851065),
+      PIN(fo.steady.fleet.session_mj, 109.71242291200001),
+      PIN(fo.steady.fleet.sessions_per_charge, 236983.19032526077),
+      PIN(fo.steady.shards, 4.0),
+      PIN(fo.steady.merge_overhead_mips, 2.0),
+      PIN(fo.steady.per_shard_required_mips, 170.0),
+      PIN(fo.steady.shard_utilisation, 0.72340425531914898),
+      PIN(fo.steady.min_shards, 3.0),
+      PIN(fo.surviving_shards, 3.0),
+      PIN(fo.degraded_required_mips, 227.19999999999999),
+      PIN(fo.degraded_utilisation, 0.96680851063829787),
+      PIN(fo.blackout_s, 0.25),
+      PIN(fo.reconnect_sessions, 150.0),
+      PIN(fo.burst_mips, 3.6000000000000001),
+      PIN(fo.crash_energy_mj, 1.53),
+      PIN(fo.crash_energy_full_mj, 14280.0),
+      PIN(fo.ticket_saving_ratio, 9333.3333333333339),
+  });
 }
 
 }  // namespace
