@@ -46,7 +46,7 @@
 // pk op for the survivor), p99 client blackout under budget, and the
 // crashed run's fleet digest byte-identical to both a rerun AND the
 // undisturbed run. The crash's energy bill is priced two ways through
-// platform::serving_gap_failover — as ticket resumptions vs the
+// platform::serving_gap's failover layer — as ticket resumptions vs the
 // full-RSA counterfactual — which is the battery argument for stateless
 // failover at appliance scale.
 //
@@ -133,28 +133,13 @@ std::string hex_prefix(const crypto::Bytes& digest, std::size_t n = 8) {
   return s;
 }
 
-platform::ServedLoad served_load(const server::LoadReport& r) {
-  platform::ServedLoad served;
-  served.full_handshakes_per_s = r.full_handshakes_per_s;
-  served.resumed_handshakes_per_s = r.resumed_handshakes_per_s;
-  served.bulk_mbps = r.record_mbps;
-  served.sessions_per_s = r.sessions_per_s;
-  served.avg_session_kb =
-      r.sessions_completed > 0
-          ? (static_cast<double>(r.server.bytes_opened +
-                                 r.server.bytes_sealed) /
-             1024.0 / static_cast<double>(r.sessions_completed))
-          : 0;
-  return served;
-}
-
 /// Re-price one report's served load with the ISA-dispatch tier applied
 /// (the accelerated appliance variant of E19).
 platform::ServingGapReport accelerated_gap(const server::LoadReport& r,
                                            const platform::Processor& proc) {
-  return platform::serving_gap(platform::WorkloadModel::paper_calibrated(),
-                               platform::AccelProfile::isa_dispatch(), proc,
-                               served_load(r));
+  return platform::serving_gap(
+      platform::WorkloadModel::paper_calibrated(), proc, r.served,
+      {.accel = platform::AccelProfile::isa_dispatch()});
 }
 
 void print_scenario(const char* name, const Timed& t,
@@ -165,10 +150,10 @@ void print_scenario(const char* name, const Timed& t,
                std::to_string(r.sessions_completed) + " / " +
                    std::to_string(r.sessions_attempted)});
   tab.add_row({"handshakes/s served (full + resumed, sim)",
-               analysis::fmt(r.full_handshakes_per_s, 1) + " + " +
-                   analysis::fmt(r.resumed_handshakes_per_s, 1)});
+               analysis::fmt(r.served.full_handshakes_per_s, 1) + " + " +
+                   analysis::fmt(r.served.resumed_handshakes_per_s, 1)});
   tab.add_row({"record throughput (Mbit/s sim)",
-               analysis::fmt(r.record_mbps, 3)});
+               analysis::fmt(r.served.bulk_mbps, 3)});
   tab.add_row({"full handshake p50 / p99 (ms sim)",
                analysis::fmt(r.full_handshake_p50_ms, 1) + " / " +
                    analysis::fmt(r.full_handshake_p99_ms, 1)});
@@ -220,8 +205,8 @@ void write_scenario_json(FILE* f, const char* key, const Timed& t,
       "      \"sessions_per_charge\": %.1f,\n"
       "      \"sessions_per_charge_isa_dispatch\": %.1f\n"
       "    }%s\n",
-      key, r.full_handshakes_per_s, r.resumed_handshakes_per_s,
-      r.record_mbps, r.full_handshake_p50_ms, r.full_handshake_p99_ms,
+      key, r.served.full_handshakes_per_s, r.served.resumed_handshakes_per_s,
+      r.served.bulk_mbps, r.full_handshake_p50_ms, r.full_handshake_p99_ms,
       r.resumed_handshake_p50_ms, r.resumed_handshake_p99_ms,
       r.cache_hit_rate, r.gap.gap_ratio, accel.gap_ratio,
       r.gap.sessions_per_charge, accel.sessions_per_charge,
@@ -442,12 +427,12 @@ int main(int argc, char** argv) {
     const std::string digest = hex_prefix(t.report.fleet_digest);
     if (digest0.empty()) digest0 = digest;
     digests_match = digests_match && digest == digest0;
-    bulk_mbps = t.report.record_mbps;
+    bulk_mbps = t.report.served.bulk_mbps;
     sweep.add_row({std::to_string(workers),
-                   analysis::fmt(t.report.record_mbps, 3),
+                   analysis::fmt(t.report.served.bulk_mbps, 3),
                    analysis::fmt(t.wall_ms, 0), digest});
     sweep_csv.push_back({std::to_string(workers),
-                         analysis::fmt(t.report.record_mbps, 3), digest});
+                         analysis::fmt(t.report.served.bulk_mbps, 3), digest});
   }
   std::fputs(sweep.render().c_str(), stdout);
   std::printf("digests %s across worker counts\n",
@@ -495,16 +480,20 @@ int main(int argc, char** argv) {
     off_digests_match = off_digests_match && digest == off_digest0;
     OffRow row;
     row.workers = workers;
-    row.hs_per_s = t.report.full_handshakes_per_s;
-    row.mbps = t.report.record_mbps;
+    row.hs_per_s = t.report.served.full_handshakes_per_s;
+    row.mbps = t.report.served.bulk_mbps;
     if (workers > 0) {
       // Offload-tier pricing: the host plane sheds the handshake MIPS
       // term entirely; feasibility moves to lane occupancy.
-      const platform::OffloadGapReport og = platform::serving_gap_offloaded(
-          platform::WorkloadModel::paper_calibrated(),
-          platform::Processor::strongarm_sa1100(), served_load(t.report),
-          workers, off_server.offload_costs.rsa_decrypt_us / 1e6);
-      row.lane_util = og.lane_utilisation;
+      row.lane_util =
+          platform::serving_gap(
+              platform::WorkloadModel::paper_calibrated(),
+              platform::Processor::strongarm_sa1100(), t.report.served,
+              {.offload = {{.lanes = workers,
+                            .lane_op_s =
+                                off_server.offload_costs.rsa_decrypt_us /
+                                1e6}}})
+              .lane_utilisation;
     }
     off_rows.push_back(row);
     off_tab.add_row(
@@ -571,17 +560,21 @@ int main(int argc, char** argv) {
       const std::string digest = hex_prefix(t.report.fleet_digest);
       if (bat_digest0.empty()) bat_digest0 = digest;
       bat_digests_match = bat_digests_match && digest == bat_digest0;
-      const platform::BatchedGapReport bg = platform::serving_gap_batched(
+      const platform::ServingGapReport bg = platform::serving_gap(
           platform::WorkloadModel::paper_calibrated(),
-          platform::Processor::strongarm_sa1100(), served_load(t.report),
-          lanes, bat_server.offload_costs.rsa_decrypt_us / 1e6, width,
-          bat_server.offload_costs.batch_marginal);
+          platform::Processor::strongarm_sa1100(), t.report.served,
+          {.offload = {{.lanes = lanes,
+                        .lane_op_s =
+                            bat_server.offload_costs.rsa_decrypt_us / 1e6,
+                        .batch_width = width,
+                        .batch_marginal =
+                            bat_server.offload_costs.batch_marginal}}});
       BatchRow row;
       row.lanes = lanes;
       row.width = width;
-      row.hs_per_s = t.report.full_handshakes_per_s;
-      row.mbps = t.report.record_mbps;
-      row.util = bg.batched_utilisation;
+      row.hs_per_s = t.report.served.full_handshakes_per_s;
+      row.mbps = t.report.served.bulk_mbps;
+      row.util = bg.lane_utilisation;
       row.batched_jobs = t.report.server.offload_batched_jobs;
       row.max_fill = t.report.server.offload_max_batch_fill;
       bat_rows.push_back(row);
@@ -743,12 +736,13 @@ int main(int argc, char** argv) {
   const server::LoadReport& rc = tk_cache.report;
   const server::LoadReport& rt = tk_ticket.report;
   const double ticket_droop =
-      rc.sessions_per_s > 0
-          ? (rc.sessions_per_s - rt.sessions_per_s) / rc.sessions_per_s
+      rc.served.sessions_per_s > 0
+          ? (rc.served.sessions_per_s - rt.served.sessions_per_s) /
+                rc.served.sessions_per_s
           : 0.0;
   const double charge_drift =
       rc.gap.sessions_per_charge > 0
-          ? std::abs(rt.ticket_gap.host.sessions_per_charge -
+          ? std::abs(rt.gap.sessions_per_charge -
                      rc.gap.sessions_per_charge) /
                 rc.gap.sessions_per_charge
           : 0.0;
@@ -757,8 +751,9 @@ int main(int argc, char** argv) {
   const bool ticket_digests_match = rc.fleet_digest == rt.fleet_digest;
 
   analysis::Table tk_tab({"metric", "cache", "ticket"});
-  tk_tab.add_row({"sessions/s (sim)", analysis::fmt(rc.sessions_per_s, 1),
-                  analysis::fmt(rt.sessions_per_s, 1)});
+  tk_tab.add_row({"sessions/s (sim)",
+                  analysis::fmt(rc.served.sessions_per_s, 1),
+                  analysis::fmt(rt.served.sessions_per_s, 1)});
   tk_tab.add_row({"resumed handshakes",
                   std::to_string(rc.server.resumed_handshakes),
                   std::to_string(rt.server.resumed_handshakes) + " (" +
@@ -770,7 +765,7 @@ int main(int argc, char** argv) {
   tk_tab.add_row(
       {"sessions per 26 KJ charge",
        analysis::fmt(rc.gap.sessions_per_charge, 0),
-       analysis::fmt(rt.ticket_gap.host.sessions_per_charge, 0)});
+       analysis::fmt(rt.gap.sessions_per_charge, 0)});
   tk_tab.add_row({"resumption state (bytes, measured)",
                   std::to_string(rc.cache_state_bytes),
                   std::to_string(rt.ticket_state_bytes)});
@@ -858,8 +853,8 @@ int main(int argc, char** argv) {
     sh_conserved = sh_conserved && r.conserved;
     ShardRow row;
     row.shards = shards;
-    row.hs_per_s = r.full_handshakes_per_s;
-    row.mbps = r.record_mbps;
+    row.hs_per_s = r.served.full_handshakes_per_s;
+    row.mbps = r.served.bulk_mbps;
     row.p99_ms = r.handshake_p99_ms;
     row.hist_p99_ms = r.handshake_hist_p99_ms;
     row.epochs = r.epochs;
@@ -960,31 +955,16 @@ int main(int argc, char** argv) {
 
   // Price the outage against the calm run's served rates on the
   // appliance-class core.
-  platform::ServedLoad fo_load;
-  if (fo_calm.sim_duration_s > 0) {
-    const double dur = fo_calm.sim_duration_s;
-    const auto& ss = fo_calm.server;
-    fo_load.full_handshakes_per_s =
-        static_cast<double>(ss.full_handshakes) / dur;
-    fo_load.resumed_handshakes_per_s =
-        static_cast<double>(ss.resumed_handshakes) / dur;
-    fo_load.bulk_mbps = static_cast<double>(ss.bytes_opened +
-                                            ss.bytes_sealed) *
-                        8.0 / dur / 1e6;
-    fo_load.sessions_per_s =
-        static_cast<double>(fo_calm.sessions_completed) / dur;
-    fo_load.avg_session_kb =
-        fo_calm.sessions_completed > 0
-            ? static_cast<double>(ss.bytes_opened + ss.bytes_sealed) /
-                  1024.0 / static_cast<double>(fo_calm.sessions_completed)
-            : 0;
-  }
-  const platform::FailoverGapReport fo_gap = platform::serving_gap_failover(
+  const platform::ServingGapReport fo_gap = platform::serving_gap(
       platform::WorkloadModel::paper_calibrated(),
-      platform::Processor::strongarm_sa1100(), fo_load, /*shards=*/4,
-      /*slice_us=*/1'000.0,
-      static_cast<double>(fo.client_reconnects),
-      std::max(fo.blackout_p99_ms, 1.0) / 1000.0);
+      platform::Processor::strongarm_sa1100(),
+      server::served_load(fo_calm.server, fo_calm.sessions_completed,
+                          fo_calm.sim_duration_s),
+      {.shards = {{.count = 4, .slice_us = 1'000.0}},
+       .failover = {{.reconnect_sessions =
+                         static_cast<double>(fo.client_reconnects),
+                     .blackout_s =
+                         std::max(fo.blackout_p99_ms, 1.0) / 1000.0}}});
 
   analysis::Table fo_tab({"metric", "value"});
   fo_tab.add_row({"honest sessions lost (gate == 0)",
@@ -1010,7 +990,7 @@ int main(int argc, char** argv) {
   fo_tab.add_row({"degraded survivor demand (MIPS)",
                   analysis::fmt(fo_gap.degraded_required_mips, 1) +
                       " (steady per-shard " +
-                      analysis::fmt(fo_gap.steady.per_shard_required_mips,
+                      analysis::fmt(fo_gap.per_shard_required_mips,
                                     1) +
                       ")"});
   fo_tab.add_row({"crash energy, tickets vs full RSA (mJ)",
@@ -1147,30 +1127,31 @@ int main(int argc, char** argv) {
                                 servers.server.bytes_sealed) *
             8.0 / sw.wall_s / 1e6;
       }
-      if (ref.full_handshakes_per_s > 0)
+      if (ref.served.full_handshakes_per_s > 0)
         sw.wall_over_modeled_full =
-            sw.full_per_s_wall / ref.full_handshakes_per_s;
-      if (ref.record_mbps > 0)
-        sw.wall_over_modeled_record = sw.record_mbps_wall / ref.record_mbps;
+            sw.full_per_s_wall / ref.served.full_handshakes_per_s;
+      if (ref.served.bulk_mbps > 0)
+        sw.wall_over_modeled_record =
+            sw.record_mbps_wall / ref.served.bulk_mbps;
       sw.skipped = false;
 
       analysis::Table st(
           {"metric", "sim-modeled (SA-1100)", "wall-clock", "wall/modeled"});
       st.add_row({"full handshakes /s",
-                  analysis::fmt(ref.full_handshakes_per_s, 1),
+                  analysis::fmt(ref.served.full_handshakes_per_s, 1),
                   analysis::fmt(sw.full_per_s_wall, 1),
                   analysis::fmt(sw.wall_over_modeled_full, 1) + "x"});
       st.add_row(
           {"resumed handshakes /s",
-           analysis::fmt(ref.resumed_handshakes_per_s, 1),
+           analysis::fmt(ref.served.resumed_handshakes_per_s, 1),
            analysis::fmt(sw.resumed_per_s_wall, 1),
-           ref.resumed_handshakes_per_s > 0
+           ref.served.resumed_handshakes_per_s > 0
                ? analysis::fmt(sw.resumed_per_s_wall /
-                                   ref.resumed_handshakes_per_s,
+                                   ref.served.resumed_handshakes_per_s,
                                1) +
                      "x"
                : std::string("-")});
-      st.add_row({"record Mbit/s", analysis::fmt(ref.record_mbps, 2),
+      st.add_row({"record Mbit/s", analysis::fmt(ref.served.bulk_mbps, 2),
                   analysis::fmt(sw.record_mbps_wall, 2),
                   analysis::fmt(sw.wall_over_modeled_record, 1) + "x"});
       st.add_row({"sessions completed",
@@ -1298,9 +1279,9 @@ int main(int argc, char** argv) {
       "    \"ticket_resumptions\": %llu,\n"
       "    \"digests_match\": %s\n"
       "  },\n",
-      rc.sessions_per_s, rt.sessions_per_s, rc.record_mbps, rt.record_mbps,
-      ticket_droop, rc.gap.sessions_per_charge,
-      rt.ticket_gap.host.sessions_per_charge, per_user_bytes,
+      rc.served.sessions_per_s, rt.served.sessions_per_s,
+      rc.served.bulk_mbps, rt.served.bulk_mbps, ticket_droop,
+      rc.gap.sessions_per_charge, rt.gap.sessions_per_charge, per_user_bytes,
       rt.ticket_state_bytes, per_user_bytes * 1e4, per_user_bytes * 1e5,
       per_user_bytes * 1e6,
       static_cast<unsigned long long>(rt.server.ticket_resumptions),

@@ -2,6 +2,7 @@
 """Compare a fresh benchmark JSON report against a committed baseline.
 
 Usage: bench_compare.py BASELINE.json FRESH.json [--threshold 0.20]
+       bench_compare.py --exact BASELINE.json FRESH.json
 
 Two input formats are understood:
 
@@ -52,6 +53,18 @@ threshold. Improvements and new/removed benchmarks are reported but
 never fail the run. ci/check.sh runs this comparison by default against
 the release tree it just validated; set MAPSEC_BENCH_COMPARE=0 there to
 skip it on hosts whose wall-clock throughput is not trustworthy.
+
+--exact is the model pin for scenario reports (BENCH_server.json): every
+leaf of the two reports must be equal, except the wall-clock ones
+(crypto_dispatch, the socket_wallclock wall* leaves and the
+session_cache_*_ns_per_lookup figures). Everything else in that report
+is simulated time, modeled pricing or a structural verdict, so it is a
+pure function of the code: a pricing change, a served-rate change or a
+new counter shows up as a named leaf instead of passing unseen inside
+the 20% band. The structural gates above run too. The host-mismatch
+refusal does not apply, since no pinned leaf depends on the host. A
+fresh run that skipped the socket block (no loopback TCP) exempts that
+block with a visible note.
 
 Only python3 stdlib; no third-party imports.
 """
@@ -253,13 +266,83 @@ def check_socket_wallclock(path):
     return not failures
 
 
+def _walk_leaves(node, prefix, out):
+    if isinstance(node, dict):
+        for key, value in node.items():
+            _walk_leaves(value, f"{prefix}/{key}" if prefix else key, out)
+    else:
+        out[prefix] = node
+
+
+def is_wall_clock(path):
+    """Leaves of a scenario report that measure the host, not the code."""
+    key = path.rsplit("/", 1)[-1]
+    return (path == "crypto_dispatch"
+            or (path.startswith("socket_wallclock/") and "wall" in key)
+            or (key.startswith("session_cache_")
+                and key.endswith("_ns_per_lookup")))
+
+
+def compare_exact(baseline_path, fresh_path):
+    """Names of the non-wall-clock leaves that differ; [] when pinned."""
+    base, fresh = {}, {}
+    with open(baseline_path) as f:
+        _walk_leaves(json.load(f), "", base)
+    with open(fresh_path) as f:
+        _walk_leaves(json.load(f), "", fresh)
+    exempt = is_wall_clock
+    if fresh.get("socket_wallclock/skipped") is True and \
+            base.get("socket_wallclock/skipped") is not True:
+        print("  [SKIP]    socket_wallclock: skipped in the fresh run "
+              "(no loopback TCP); its leaves are not pinned")
+        exempt = (lambda p: is_wall_clock(p)
+                  or p.startswith("socket_wallclock/"))
+    diffs = []
+    for name in sorted(set(base) | set(fresh)):
+        if exempt(name):
+            continue
+        b, f = base.get(name, "<missing>"), fresh.get(name, "<missing>")
+        if b != f:
+            diffs.append(name)
+            print(f"  [DIFF]    {name}: baseline {b!r} fresh {f!r}")
+    pinned = len([n for n in base if not exempt(n)])
+    print(f"{pinned - len(diffs)} of {pinned} pinned leaves equal")
+    return diffs
+
+
+def structural_gates(path):
+    if not check_shard_sweep(path):
+        print(f"shard_sweep structural gate failed in {path}")
+        return False
+    if not check_failover_slo(path):
+        print(f"failover_slo structural gate failed in {path}")
+        return False
+    if not check_socket_wallclock(path):
+        print(f"socket_wallclock structural gate failed in {path}")
+        return False
+    return True
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("baseline")
     ap.add_argument("fresh")
     ap.add_argument("--threshold", type=float, default=0.20,
                     help="fractional regression that fails the run")
+    ap.add_argument("--exact", action="store_true",
+                    help="require every non-wall-clock leaf to be equal")
     args = ap.parse_args()
+
+    if args.exact:
+        diffs = compare_exact(args.baseline, args.fresh)
+        if not structural_gates(args.fresh):
+            return 1
+        if diffs:
+            print(f"{len(diffs)} pinned leaf/leaves of {args.fresh} differ "
+                  f"from {args.baseline}")
+            return 1
+        print(f"{args.fresh} matches {args.baseline} on every pinned leaf")
+        return 0
 
     base_ctx, base = load_benchmarks(args.baseline)
     fresh_ctx, fresh = load_benchmarks(args.fresh)
@@ -296,14 +379,7 @@ def main():
     for name in sorted(set(fresh) - set(base)):
         print(f"  [new]     {name} (no baseline)")
 
-    if not check_shard_sweep(args.fresh):
-        print(f"shard_sweep structural gate failed in {args.fresh}")
-        return 1
-    if not check_failover_slo(args.fresh):
-        print(f"failover_slo structural gate failed in {args.fresh}")
-        return 1
-    if not check_socket_wallclock(args.fresh):
-        print(f"socket_wallclock structural gate failed in {args.fresh}")
+    if not structural_gates(args.fresh):
         return 1
     if regressions:
         print(f"{len(regressions)} benchmark(s) regressed more than "

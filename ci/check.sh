@@ -11,9 +11,13 @@
 #      server, chaos campaigns, wire fuzzing) under ThreadSanitizer
 # This is the gate a change must pass before it lands.
 #
-# Finally, re-records the benchmark baselines from the release tree and
-# diffs them against the committed BENCH_*.json, failing on >20%
-# throughput regressions. On by default — the release tree the suite
+# Right after the release suite, a model-pin stage requires a fresh
+# bench_server_load report to equal the committed BENCH_server.json on
+# every leaf that is not wall-clock (always on).
+#
+# Finally, re-records the crypto and engine benchmark baselines from the
+# release tree and diffs them against the committed BENCH_*.json, failing
+# on >20% throughput regressions. On by default — the release tree the suite
 # just built is exactly the tree the baselines describe. Set
 # MAPSEC_BENCH_COMPARE=0 to skip (e.g. on loaded or throttled hosts
 # where wall-clock throughput is meaningless).
@@ -28,6 +32,29 @@ echo "== release tree =="
 cmake -B build -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build build -j "${JOBS}"
 ctest --test-dir build --output-on-failure -j "${JOBS}"
+
+echo "== model pin: bench_server_load vs BENCH_server.json =="
+# Every leaf of the serving report except the wall-clock ones is simulated
+# time, a modeled price (gap ratios, sessions per charge, lane
+# utilisation, failover MIPS and energy) or a structural verdict, so a
+# fresh run must reproduce the committed file exactly — on the dispatched
+# and on the forced-scalar kernels. A change that moves any of them must
+# re-record BENCH_server.json and say which numbers moved and why. The
+# shard_sweep / failover_slo / socket_wallclock structural gates run on
+# each fresh report too. About 5 s per run.
+PIN_DIR="$(mktemp -d)"
+trap 'rm -rf "${PIN_DIR}"' EXIT
+for force_scalar in 0 1; do
+  if ! MAPSEC_FORCE_SCALAR="${force_scalar}" ./build/bench/bench_server_load \
+      "${PIN_DIR}/BENCH_server.json" > "${PIN_DIR}/bench.log" 2>&1; then
+    cat "${PIN_DIR}/bench.log"
+    echo "bench_server_load failed its own gates (MAPSEC_FORCE_SCALAR=${force_scalar})"
+    exit 1
+  fi
+  echo "-- MAPSEC_FORCE_SCALAR=${force_scalar} --"
+  python3 ci/bench_compare.py --exact BENCH_server.json \
+    "${PIN_DIR}/BENCH_server.json"
+done
 
 echo "== socket smoke (real loopback TCP) =="
 # The sim suite above exercises the socket bearer's logic; this stage
@@ -111,7 +138,7 @@ ctest --test-dir build-tsan --output-on-failure -j "${JOBS}" \
 if [[ "${MAPSEC_BENCH_COMPARE:-1}" != "0" ]]; then
   echo "== benchmark baseline comparison =="
   BENCH_DIR="$(mktemp -d)"
-  trap 'rm -rf "${BENCH_DIR}"' EXIT
+  trap 'rm -rf "${PIN_DIR}" "${BENCH_DIR}"' EXIT
   record_crypto() {
     ./build/bench/bench_crypto_primitives \
       --benchmark_format=json --benchmark_min_time=0.2 \
@@ -123,9 +150,6 @@ if [[ "${MAPSEC_BENCH_COMPARE:-1}" != "0" ]]; then
       --benchmark_format=json --benchmark_min_time=0.2 \
       --benchmark_out="${BENCH_DIR}/BENCH_engine.json" \
       --benchmark_out_format=json
-  }
-  record_server() {
-    ./build/bench/bench_server_load "${BENCH_DIR}/BENCH_server.json"
   }
   # One wall-clock sample on a shared host can dip >20% without any code
   # change; a real regression also reproduces in a second sample. Each
@@ -140,7 +164,6 @@ if [[ "${MAPSEC_BENCH_COMPARE:-1}" != "0" ]]; then
   }
   compare BENCH_crypto.json record_crypto
   compare BENCH_engine.json record_engine
-  compare BENCH_server.json record_server
 fi
 
 echo "== OK: all configurations green =="

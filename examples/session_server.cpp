@@ -143,7 +143,7 @@ int main(int argc, char** argv) {
               r.handshake_p50_ms, r.handshake_p99_ms);
   std::printf("record layer: %.3f Mbit/s protected, %llu echoes, "
               "0x%02x%02x... fleet digest\n",
-              r.record_mbps,
+              r.served.bulk_mbps,
               static_cast<unsigned long long>(r.server.bulk_messages),
               r.fleet_digest[0], r.fleet_digest[1]);
   std::printf("\npriced against %s:\n",
@@ -151,8 +151,9 @@ int main(int argc, char** argv) {
   std::printf("  required %.1f MIPS vs %.0f available -> gap ratio "
               "%.2f\n",
               r.gap.required_mips, r.gap.available_mips, r.gap.gap_ratio);
-  std::printf("  %.1f mJ per session -> %.0f sessions per 26 KJ "
+  std::printf("  %.1f mJ per session -> %.0f sessions per %.0f KJ "
               "charge\n",
-              r.gap.session_mj, r.gap.sessions_per_charge);
+              r.gap.session_mj, r.gap.sessions_per_charge,
+              platform::kBatteryKj);
   return r.sessions_failed == 0 ? 0 : 1;
 }

@@ -64,8 +64,9 @@ struct PrimitiveBackend {
 };
 
 /// Snapshot of the active dispatch decisions plus the feature probe —
-/// the report benches embed in their output and platform::serving_gap's
-/// accelerated-appliance pricing is calibrated against.
+/// the report benches embed in their output and the accel layer of
+/// platform::serving_gap (AccelProfile::isa_dispatch) is calibrated
+/// against.
 struct Capabilities {
   CpuFeatures features;
   bool forced_scalar = false;

@@ -37,6 +37,13 @@ enum class Primitive {
   kDh1024,
 };
 
+/// The paper's reference protocol (Section 3.2): "RSA based connection
+/// set-up, 3DES-based data encryption and SHA-based integrity". The
+/// Figure 3 surface and every serving-gap figure are priced on it.
+inline constexpr Primitive kReferencePk = Primitive::kRsa1024Private;
+inline constexpr Primitive kReferenceCipher = Primitive::kDes3;
+inline constexpr Primitive kReferenceMac = Primitive::kSha1;
+
 /// Human-readable primitive name.
 std::string primitive_name(Primitive p);
 

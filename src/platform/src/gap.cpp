@@ -1,5 +1,6 @@
 #include "mapsec/platform/gap.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 namespace mapsec::platform {
@@ -17,8 +18,8 @@ std::vector<GapPoint> GapAnalysis::surface(
       p.latency_s = latency;
       p.mbps = rate;
       p.handshake_mips =
-          model_.handshake_mips(Primitive::kRsa1024Private, latency);
-      p.bulk_mips = model_.bulk_mips(Primitive::kDes3, Primitive::kSha1, rate);
+          model_.handshake_mips(kReferencePk, latency);
+      p.bulk_mips = model_.bulk_mips(kReferenceCipher, kReferenceMac, rate);
       p.required_mips = p.handshake_mips + p.bulk_mips;
       out.push_back(p);
     }
@@ -71,252 +72,146 @@ std::vector<GapTrendPoint> project_gap_trend(
 
 ServingGapReport serving_gap(const WorkloadModel& model,
                              const Processor& proc, const ServedLoad& load,
-                             double battery_kj, Primitive pk,
-                             Primitive cipher, Primitive mac) {
-  ServingGapReport report;
-  // Handshake side: each full handshake spends one private-key op;
-  // resumed handshakes skip it (their symmetric cost is folded into the
+                             const ServingTier& tier) {
+  ServingGapReport r;
+  const auto of_core = [&](double mips) {
+    return proc.mips > 0 ? mips / proc.mips : 0.0;
+  };
+  const auto per_session = [&](double rate) {
+    return load.sessions_per_s > 0 ? rate / load.sessions_per_s : 1.0;
+  };
+
+  // Host plane. Accel prices MIPS on the accelerated cost table; offload
+  // takes the full-handshake pk ops off the host entirely. Resumed
+  // handshakes skip the pk op (their symmetric cost is folded into the
   // bulk term, which measures all protected bytes).
-  report.handshake_mips =
-      load.full_handshakes_per_s * model.instr_per_op(pk) / 1e6;
-  report.bulk_mips = load.bulk_mbps > 0
-                         ? model.bulk_mips(cipher, mac, load.bulk_mbps)
-                         : 0.0;
-  report.required_mips = report.handshake_mips + report.bulk_mips;
-  report.available_mips = proc.mips;
-  report.gap_ratio =
-      proc.mips > 0 ? report.required_mips / proc.mips : 0.0;
+  const WorkloadModel priced =
+      tier.accel ? accelerated_model(model, *tier.accel) : model;
+  const double host_full_per_s =
+      tier.offload ? 0.0 : load.full_handshakes_per_s;
+  r.handshake_mips =
+      host_full_per_s * priced.instr_per_op(kReferencePk) / 1e6;
+  r.bulk_mips = load.bulk_mbps > 0
+                    ? priced.bulk_mips(kReferenceCipher, kReferenceMac,
+                                       load.bulk_mbps)
+                    : 0.0;
+  r.required_mips = r.handshake_mips + r.bulk_mips;
+  r.available_mips = proc.mips;
 
-  // Battery tie-in (Figure 4's arithmetic over the same load): the
-  // processing instructions of one average session, priced through the
-  // processor's energy-per-instruction rating.
-  const double session_share =
-      load.sessions_per_s > 0
-          ? load.full_handshakes_per_s / load.sessions_per_s
-          : 1.0;
+  // Battery tie-in (Figure 4's arithmetic over the same load): the host
+  // instructions of one average session, priced through the processor's
+  // energy-per-instruction rating. An accel tier's energy_efficiency is
+  // defined against the UNaccelerated workload, so the bill comes from
+  // the base cost table and is divided once by that efficiency.
   const double bulk_instr_per_kb =
-      model.instr_per_byte(cipher) * 1024.0 +
-      model.instr_per_byte(mac) * 1024.0;
+      model.instr_per_byte(kReferenceCipher) * 1024.0 +
+      model.instr_per_byte(kReferenceMac) * 1024.0;
   const double session_instr =
-      session_share * model.instr_per_op(pk) +
+      per_session(host_full_per_s) * model.instr_per_op(kReferencePk) +
       load.avg_session_kb * bulk_instr_per_kb;
-  report.session_mj = proc.millijoules_for(session_instr);
-  report.sessions_per_charge =
-      report.session_mj > 0 ? battery_kj * 1e6 / report.session_mj : 0.0;
-  return report;
-}
-
-ServingGapReport serving_gap(const WorkloadModel& model,
-                             const AccelProfile& accel, const Processor& proc,
-                             const ServedLoad& load, double battery_kj,
-                             Primitive pk, Primitive cipher, Primitive mac) {
-  // MIPS side: price against the accelerated cost table.
-  ServingGapReport report = serving_gap(accelerated_model(model, accel), proc,
-                                        load, battery_kj, pk, cipher, mac);
-
-  // Energy side: the tier's energy_efficiency is defined against the host
-  // running the UNaccelerated workload, so recompute the session bill
-  // from the base model rather than double-counting the instruction
-  // reduction already applied above.
-  const double session_share =
-      load.sessions_per_s > 0
-          ? load.full_handshakes_per_s / load.sessions_per_s
+  const double accel_efficiency =
+      tier.accel && tier.accel->energy_efficiency > 0
+          ? tier.accel->energy_efficiency
           : 1.0;
-  const double bulk_instr_per_kb = model.instr_per_byte(cipher) * 1024.0 +
-                                   model.instr_per_byte(mac) * 1024.0;
-  const double session_instr = session_share * model.instr_per_op(pk) +
-                               load.avg_session_kb * bulk_instr_per_kb;
-  const double efficiency =
-      accel.energy_efficiency > 0 ? accel.energy_efficiency : 1.0;
-  report.session_mj = proc.millijoules_for(session_instr) / efficiency;
-  report.sessions_per_charge =
-      report.session_mj > 0 ? battery_kj * 1e6 / report.session_mj : 0.0;
-  return report;
-}
+  r.session_mj = proc.millijoules_for(session_instr) / accel_efficiency;
 
-OffloadGapReport serving_gap_offloaded(
-    const WorkloadModel& model, const Processor& proc, const ServedLoad& load,
-    std::size_t lanes, double lane_op_s, double accel_energy_efficiency,
-    double battery_kj, Primitive pk, Primitive cipher, Primitive mac) {
-  OffloadGapReport report;
+  if (tier.offload) {
+    // The lanes as fixed-rate servers. A full window of W jobs occupies
+    // a lane for lane_op_s * (1 + (W - 1) * m) seconds — W ops for
+    // barely more than one op's slot when m is small.
+    const ServingTier::Offload& o = *tier.offload;
+    r.pk_ops_per_s = load.full_handshakes_per_s;
+    r.lane_op_s = o.lane_op_s;
+    r.lanes = static_cast<double>(o.lanes);
+    r.batch_width = static_cast<double>(o.batch_width == 0 ? 1 : o.batch_width);
+    r.batch_marginal = o.batch_marginal;
+    r.effective_op_s =
+        o.lane_op_s * (1.0 + (r.batch_width - 1.0) * o.batch_marginal) /
+        r.batch_width;
+    const double demand_lane_s = load.full_handshakes_per_s * r.effective_op_s;
+    r.lane_utilisation = o.lanes > 0 ? demand_lane_s / r.lanes : 0.0;
+    r.throughput_gain =
+        r.effective_op_s > 0 ? o.lane_op_s / r.effective_op_s : 1.0;
+    r.min_lanes = std::ceil(demand_lane_s);
+    // The offloaded pk op still costs energy, at the accelerator's
+    // efficiency (the paper's order-of-magnitude claim).
+    r.session_mj += per_session(load.full_handshakes_per_s) *
+                    proc.millijoules_for(model.instr_per_op(kReferencePk)) /
+                    AccelProfile::crypto_accelerator().energy_efficiency;
+  }
+  r.sessions_per_charge =
+      r.session_mj > 0 ? kBatteryKj * 1e6 / r.session_mj : 0.0;
 
-  // Host plane: the same load with the full-handshake pk ops removed —
-  // they run on the accelerator lanes, not the host. The base pricing
-  // then also excludes the pk term from the session energy bill (its
-  // session_share collapses to zero), which is re-added below at the
-  // accelerator's efficiency.
-  ServedLoad host_load = load;
-  host_load.full_handshakes_per_s = 0;
-  report.host =
-      serving_gap(model, proc, host_load, battery_kj, pk, cipher, mac);
+  if (tier.ticket) {
+    // CCM over the blob is two AES passes (CBC-MAC, then CTR); an open
+    // and a seal cost the same. Each full handshake seals a fresh ticket;
+    // each resumed one opens the offered ticket and re-seals it.
+    const double ccm_instr =
+        2.0 * priced.instr_per_byte(Primitive::kAes128) * kTicketWireBytes;
+    r.ticket_open_mips =
+        load.resumed_handshakes_per_s * 2.0 * ccm_instr / 1e6;
+    r.ticket_seal_mips = load.full_handshakes_per_s * ccm_instr / 1e6;
+    r.required_mips += r.ticket_open_mips + r.ticket_seal_mips;
+    r.server_state_bytes = tier.ticket->ring_state_bytes;
+    r.cache_state_bytes = tier.ticket->cache_state_bytes;
+    r.state_ratio = r.server_state_bytes > 0
+                        ? r.cache_state_bytes / r.server_state_bytes
+                        : 0.0;
+  }
+  r.gap_ratio = of_core(r.required_mips);
 
-  // Lane occupancy: the accelerator as a fixed-rate server.
-  report.pk_ops_per_s = load.full_handshakes_per_s;
-  report.lane_service_s = lane_op_s;
-  report.lanes = static_cast<double>(lanes);
-  const double demand_lane_s = load.full_handshakes_per_s * lane_op_s;
-  report.lane_utilisation = lanes > 0 ? demand_lane_s / report.lanes : 0.0;
-  report.min_lanes = std::ceil(demand_lane_s);
+  if (tier.shards) {
+    // Barrier tax: every core re-freezes the fleet snapshot once per
+    // slice regardless of how many shards share the tier.
+    const ServingTier::Shards& sh = *tier.shards;
+    r.shards = static_cast<double>(sh.count == 0 ? 1 : sh.count);
+    const double slices_per_s = sh.slice_us > 0 ? 1e6 / sh.slice_us : 0.0;
+    r.merge_overhead_mips = slices_per_s * kMergeInstrPerSlice / 1e6;
+    r.per_shard_required_mips =
+        r.required_mips / r.shards + r.merge_overhead_mips;
+    r.shard_utilisation = of_core(r.per_shard_required_mips);
+    const double headroom = proc.mips - r.merge_overhead_mips;
+    r.min_shards = headroom > 0
+                       ? std::max(1.0, std::ceil(r.required_mips / headroom))
+                       : 0.0;
+  }
 
-  // Energy: the offloaded pk op still costs energy, just 1/efficiency of
-  // the host bill — added back into the per-session figure.
-  const double session_share =
-      load.sessions_per_s > 0
-          ? load.full_handshakes_per_s / load.sessions_per_s
-          : 1.0;
-  const double efficiency =
-      accel_energy_efficiency > 0 ? accel_energy_efficiency : 1.0;
-  report.host.session_mj +=
-      session_share * proc.millijoules_for(model.instr_per_op(pk)) /
-      efficiency;
-  report.host.sessions_per_charge =
-      report.host.session_mj > 0 ? battery_kj * 1e6 / report.host.session_mj
-                                 : 0.0;
-  return report;
-}
-
-BatchedGapReport serving_gap_batched(
-    const WorkloadModel& model, const Processor& proc, const ServedLoad& load,
-    std::size_t lanes, double lane_op_s, std::size_t batch_width,
-    double batch_marginal, double accel_energy_efficiency, double battery_kj,
-    Primitive pk, Primitive cipher, Primitive mac) {
-  BatchedGapReport report;
-  report.offload =
-      serving_gap_offloaded(model, proc, load, lanes, lane_op_s,
-                            accel_energy_efficiency, battery_kj, pk, cipher,
-                            mac);
-  const double width =
-      static_cast<double>(batch_width == 0 ? 1 : batch_width);
-  report.batch_width = width;
-  report.batch_marginal = batch_marginal;
-  // A full window of W jobs occupies the lane for
-  // lane_op_s * (1 + (W - 1) * m) seconds — W ops for barely more than
-  // one op's slot when m is small.
-  report.effective_op_s =
-      lane_op_s * (1.0 + (width - 1.0) * batch_marginal) / width;
-  const double demand_lane_s =
-      load.full_handshakes_per_s * report.effective_op_s;
-  report.batched_utilisation =
-      lanes > 0 ? demand_lane_s / static_cast<double>(lanes) : 0.0;
-  report.throughput_gain =
-      report.effective_op_s > 0 ? lane_op_s / report.effective_op_s : 1.0;
-  report.min_lanes = std::ceil(demand_lane_s);
-  return report;
-}
-
-TicketGapReport serving_gap_ticket(
-    const WorkloadModel& model, const Processor& proc, const ServedLoad& load,
-    double ring_state_bytes, double cache_state_bytes,
-    double ticket_wire_bytes, double battery_kj, Primitive pk,
-    Primitive cipher, Primitive mac) {
-  TicketGapReport report;
-  report.host = serving_gap(model, proc, load, battery_kj, pk, cipher, mac);
-
-  // CCM over the blob is two AES passes (CBC-MAC, then CTR); an open and
-  // a seal cost the same. Each resumed handshake opens the offered
-  // ticket; each full handshake seals a replacement NewSessionTicket
-  // (resumptions re-seal too, but that open+seal pair is what the
-  // resumed row already carries — price seals on the full rate and opens
-  // plus re-seals on the resumed rate).
-  const double ccm_instr =
-      2.0 * model.instr_per_byte(Primitive::kAes128) * ticket_wire_bytes;
-  report.ticket_open_mips =
-      load.resumed_handshakes_per_s * 2.0 * ccm_instr / 1e6;
-  report.ticket_seal_mips = load.full_handshakes_per_s * ccm_instr / 1e6;
-  report.host.required_mips +=
-      report.ticket_open_mips + report.ticket_seal_mips;
-  report.host.gap_ratio = proc.mips > 0
-                              ? report.host.required_mips / proc.mips
-                              : 0.0;
-
-  report.server_state_bytes = ring_state_bytes;
-  report.cache_state_bytes = cache_state_bytes;
-  report.state_ratio = ring_state_bytes > 0
-                           ? cache_state_bytes / ring_state_bytes
-                           : 0.0;
-  return report;
-}
-
-ShardedGapReport serving_gap_sharded(
-    const WorkloadModel& model, const Processor& proc, const ServedLoad& load,
-    std::size_t shards, double slice_us, double merge_instr_per_slice,
-    double battery_kj, Primitive pk, Primitive cipher, Primitive mac) {
-  ShardedGapReport report;
-  report.fleet =
-      serving_gap(model, proc, load, battery_kj, pk, cipher, mac);
-  report.shards = static_cast<double>(shards == 0 ? 1 : shards);
-
-  // Barrier tax: every core re-freezes the fleet snapshot once per slice
-  // regardless of how many shards share the tier.
-  const double slices_per_s = slice_us > 0 ? 1e6 / slice_us : 0.0;
-  report.merge_overhead_mips =
-      slices_per_s * merge_instr_per_slice / 1e6;
-
-  report.per_shard_required_mips =
-      report.fleet.required_mips / report.shards +
-      report.merge_overhead_mips;
-  report.shard_utilisation =
-      proc.mips > 0 ? report.per_shard_required_mips / proc.mips : 0.0;
-
-  const double headroom = proc.mips - report.merge_overhead_mips;
-  report.min_shards =
-      headroom > 0 ? std::ceil(report.fleet.required_mips / headroom) : 0.0;
-  if (report.min_shards < 1 && headroom > 0) report.min_shards = 1;
-  return report;
-}
-
-FailoverGapReport serving_gap_failover(
-    const WorkloadModel& model, const Processor& proc, const ServedLoad& load,
-    std::size_t shards, double slice_us, double reconnect_sessions,
-    double blackout_s, double ticket_open_instr,
-    double merge_instr_per_slice, double battery_kj, Primitive pk,
-    Primitive cipher, Primitive mac) {
-  FailoverGapReport report;
-  report.steady =
-      serving_gap_sharded(model, proc, load, shards, slice_us,
-                          merge_instr_per_slice, battery_kj, pk, cipher, mac);
-  report.surviving_shards =
-      shards > 1 ? static_cast<double>(shards - 1) : 1.0;
-  report.blackout_s = blackout_s;
-  report.reconnect_sessions = reconnect_sessions;
-
-  // The whole resumption burst, expressed as sustained MIPS over the
-  // blackout window it lands in.
-  const double burst_instr = reconnect_sessions * ticket_open_instr;
-  report.burst_mips =
-      blackout_s > 0 ? burst_instr / blackout_s / 1e6 : 0.0;
-
-  report.degraded_required_mips =
-      report.steady.fleet.required_mips / report.surviving_shards +
-      report.steady.merge_overhead_mips +
-      report.burst_mips / report.surviving_shards;
-  report.degraded_utilisation =
-      proc.mips > 0 ? report.degraded_required_mips / proc.mips : 0.0;
-
-  // Energy bill of the crash itself: every victim session re-establishes
-  // once. Tickets make each re-establishment symmetric-only; the
-  // counterfactual (no resumption state survives the crash) pays the
-  // full private-key operation per session — the paper's 42 mJ/KB worst
-  // case, at fleet scale.
-  report.crash_energy_mj = proc.millijoules_for(burst_instr);
-  report.crash_energy_full_mj = proc.millijoules_for(
-      reconnect_sessions * model.instr_per_op(pk));
-  report.ticket_saving_ratio =
-      report.crash_energy_mj > 0
-          ? report.crash_energy_full_mj / report.crash_energy_mj
-          : 0.0;
-  return report;
+  if (tier.failover) {
+    const ServingTier::Failover& f = *tier.failover;
+    r.surviving_shards = r.shards > 1 ? r.shards - 1.0 : 1.0;
+    r.blackout_s = f.blackout_s;
+    r.reconnect_sessions = f.reconnect_sessions;
+    // The whole resumption burst, as sustained MIPS over the blackout
+    // window it lands in.
+    const double burst_instr = f.reconnect_sessions * kTicketOpenInstr;
+    r.burst_mips = f.blackout_s > 0 ? burst_instr / f.blackout_s / 1e6 : 0.0;
+    r.degraded_required_mips = r.required_mips / r.surviving_shards +
+                               r.merge_overhead_mips +
+                               r.burst_mips / r.surviving_shards;
+    r.degraded_utilisation = of_core(r.degraded_required_mips);
+    // Every victim session re-establishes once. Tickets make that
+    // symmetric-only; the counterfactual (no resumption state survives
+    // the crash) pays the full private-key op per session — the paper's
+    // 42 mJ/KB worst case, at fleet scale.
+    r.crash_energy_mj = proc.millijoules_for(burst_instr);
+    r.crash_energy_full_mj = proc.millijoules_for(
+        f.reconnect_sessions * model.instr_per_op(kReferencePk));
+    r.ticket_saving_ratio = r.crash_energy_mj > 0
+                                ? r.crash_energy_full_mj / r.crash_energy_mj
+                                : 0.0;
+  }
+  return r;
 }
 
 double GapAnalysis::max_rate_mbps(const Processor& proc,
                                   double latency_s) const {
   const double handshake =
-      model_.handshake_mips(Primitive::kRsa1024Private, latency_s);
+      model_.handshake_mips(kReferencePk, latency_s);
   const double headroom_mips = proc.mips - handshake;
   if (headroom_mips <= 0) return 0;
   // Invert bulk_mips: rate such that bulk requirement == headroom.
   const double per_mbps =
-      model_.bulk_mips(Primitive::kDes3, Primitive::kSha1, 1.0);
+      model_.bulk_mips(kReferenceCipher, kReferenceMac, 1.0);
   return headroom_mips / per_mbps;
 }
 

@@ -103,8 +103,8 @@ double WorkloadModel::handshake_mips(Primitive pk_op, double latency_s) const {
 }
 
 double WorkloadModel::required_mips(double latency_s, double mbps) const {
-  return handshake_mips(Primitive::kRsa1024Private, latency_s) +
-         bulk_mips(Primitive::kDes3, Primitive::kSha1, mbps);
+  return handshake_mips(kReferencePk, latency_s) +
+         bulk_mips(kReferenceCipher, kReferenceMac, mbps);
 }
 
 }  // namespace mapsec::platform

@@ -10,8 +10,10 @@
 // accounting, the per-shard breakdown, and a fleet-wide transcript digest
 // that must be bit-identical for any PacketPipeline worker count and any
 // shard count. The report is priced against a processor model via
-// platform::serving_gap, closing the loop to Figure 3: how much
-// appliance-class silicon would this measured serving load need?
+// platform::serving_gap at the tier the run used (its shards and slice,
+// plus the ticket layer when the server issues tickets), closing the loop
+// to Figure 3: how much appliance-class silicon would this measured
+// serving load need?
 #pragma once
 
 #include <cstdint>
@@ -68,6 +70,14 @@ net::SimTime load_exponential_us(crypto::Rng& rng, double mean_us);
 /// and, with the socket bearer, across transports.
 crypto::Bytes fold_fleet_digest(const std::vector<crypto::ConstBytes>& lanes);
 
+/// The Figure 3 axes of a finished run: handshake, session and protected
+/// record rates over `sim_duration_s` (a zero duration prices as one
+/// second), and the protected KB of an average completed session. The one
+/// derivation every load report and campaign is priced from.
+platform::ServedLoad served_load(const ServerStats& stats,
+                                 std::size_t sessions_completed,
+                                 double sim_duration_s);
+
 /// Buffer-arena accounting carried in load reports. For socket-bearer
 /// runs, `allocations == reserved` is the zero-steady-state-allocation
 /// witness: the record path never grew the pool beyond its pre-reserved
@@ -100,8 +110,6 @@ struct LoadConfig {
 
   /// Appliance-class processor the served load is priced against.
   platform::Processor appliance;
-  platform::Primitive pk_primitive = platform::Primitive::kRsa1024Private;
-  double battery_kj = 26.0;  // the paper's Figure 4 battery
 };
 
 struct LoadReport {
@@ -122,10 +130,9 @@ struct LoadReport {
   std::size_t connection_attempts = 0;
 
   double sim_duration_s = 0;
-  double full_handshakes_per_s = 0;
-  double resumed_handshakes_per_s = 0;
-  double sessions_per_s = 0;
-  double record_mbps = 0;  // protected application bits per sim second
+  /// Serving rates over sim_duration_s; bulk_mbps is the protected
+  /// application bits per sim second.
+  platform::ServedLoad served;
   double handshake_p50_ms = 0;
   double handshake_p99_ms = 0;
   /// Full-vs-resumed latency split from THIS run. These are the
@@ -160,13 +167,10 @@ struct LoadReport {
   /// (analysis::merge — exact aggregation, not a p99-of-p99s).
   double handshake_hist_p99_ms = 0;
 
+  /// `served` priced on the tier the run used: its shard count and
+  /// slice, plus the ticket layer (with the two state sizes above) when
+  /// the server issued tickets.
   platform::ServingGapReport gap;
-  /// Ticket-tier pricing of the same load (meaningful when the server
-  /// ran in ticket mode; state fields mirror the two lines above).
-  platform::TicketGapReport ticket_gap;
-  /// Sharded-tier pricing: the same load split over `shards` cores plus
-  /// the per-slice merge tax.
-  platform::ShardedGapReport sharded_gap;
 };
 
 class LoadGenerator {

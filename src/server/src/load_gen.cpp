@@ -29,6 +29,26 @@ crypto::Bytes fold_fleet_digest(
   return crypto::Sha256::hash(digest_stream);
 }
 
+platform::ServedLoad served_load(const ServerStats& stats,
+                                 std::size_t sessions_completed,
+                                 double sim_duration_s) {
+  const double dur = sim_duration_s > 0 ? sim_duration_s : 1;
+  const double protected_bytes =
+      static_cast<double>(stats.bytes_opened + stats.bytes_sealed);
+  platform::ServedLoad served;
+  served.full_handshakes_per_s =
+      static_cast<double>(stats.full_handshakes) / dur;
+  served.resumed_handshakes_per_s =
+      static_cast<double>(stats.resumed_handshakes) / dur;
+  served.sessions_per_s = static_cast<double>(sessions_completed) / dur;
+  served.bulk_mbps = protected_bytes * 8 / 1e6 / dur;
+  served.avg_session_kb =
+      sessions_completed > 0 ? protected_bytes / 1024.0 /
+                                   static_cast<double>(sessions_completed)
+                             : 0;
+  return served;
+}
+
 LoadReport LoadGenerator::run() {
   const std::uint64_t seed = load_.seed;
 
@@ -138,17 +158,8 @@ LoadReport LoadGenerator::run() {
   report.fleet_digest = fold_fleet_digest(lanes);
 
   report.sim_duration_s = static_cast<double>(rs.last_event_us) / 1e6;
-  const double dur = report.sim_duration_s > 0 ? report.sim_duration_s : 1;
-  report.full_handshakes_per_s =
-      static_cast<double>(report.server.full_handshakes) / dur;
-  report.resumed_handshakes_per_s =
-      static_cast<double>(report.server.resumed_handshakes) / dur;
-  report.sessions_per_s =
-      static_cast<double>(report.sessions_completed) / dur;
-  const double protected_bytes =
-      static_cast<double>(report.server.bytes_opened +
-                          report.server.bytes_sealed);
-  report.record_mbps = protected_bytes * 8 / 1e6 / dur;
+  report.served = served_load(report.server, report.sessions_completed,
+                              report.sim_duration_s);
   const auto ms = [](const std::vector<double>& us, double p) {
     return analysis::percentile(us, p) / 1e3;
   };
@@ -174,29 +185,15 @@ LoadReport LoadGenerator::run() {
   report.handshake_hist_p99_ms =
       analysis::merged_percentile(hists, 0.99) / 1e3;
 
-  platform::ServedLoad served;
-  served.full_handshakes_per_s = report.full_handshakes_per_s;
-  served.resumed_handshakes_per_s = report.resumed_handshakes_per_s;
-  served.bulk_mbps = report.record_mbps;
-  served.sessions_per_s = report.sessions_per_s;
-  served.avg_session_kb =
-      report.sessions_completed > 0
-          ? protected_bytes / 1024.0 /
-                static_cast<double>(report.sessions_completed)
-          : 0;
-  const platform::WorkloadModel model =
-      platform::WorkloadModel::paper_calibrated();
-  report.gap = platform::serving_gap(model, load_.appliance, served,
-                                     load_.battery_kj, load_.pk_primitive);
-  report.ticket_gap = platform::serving_gap_ticket(
-      model, load_.appliance, served,
-      static_cast<double>(report.ticket_state_bytes),
-      static_cast<double>(report.cache_state_bytes),
-      /*ticket_wire_bytes=*/96.0, load_.battery_kj, load_.pk_primitive);
-  report.sharded_gap = platform::serving_gap_sharded(
-      model, load_.appliance, served, tier.shards(),
-      static_cast<double>(load_.slice_us),
-      /*merge_instr_per_slice=*/2000.0, load_.battery_kj, load_.pk_primitive);
+  // Priced at the tier this run used.
+  platform::ServingTier priced_as;
+  priced_as.shards = {tier.shards(), static_cast<double>(load_.slice_us)};
+  if (server_.ticket.enabled)
+    priced_as.ticket = {static_cast<double>(report.ticket_state_bytes),
+                        static_cast<double>(report.cache_state_bytes)};
+  report.gap =
+      platform::serving_gap(platform::WorkloadModel::paper_calibrated(),
+                            load_.appliance, report.served, priced_as);
   return report;
 }
 

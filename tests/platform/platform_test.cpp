@@ -412,7 +412,7 @@ TEST(AccelTest, AcceleratedServingGapNarrowsAndSavesEnergy) {
 
   const ServingGapReport base = serving_gap(model, proc, load);
   const ServingGapReport fast =
-      serving_gap(model, AccelProfile::isa_dispatch(), proc, load);
+      serving_gap(model, proc, load, {.accel = AccelProfile::isa_dispatch()});
   EXPECT_GT(base.gap_ratio, 0);
   EXPECT_LT(fast.gap_ratio, base.gap_ratio);
   EXPECT_LT(fast.bulk_mips, base.bulk_mips);
@@ -423,7 +423,7 @@ TEST(AccelTest, AcceleratedServingGapNarrowsAndSavesEnergy) {
 
   // A tier that accelerates nothing must reproduce the base report.
   const ServingGapReport same =
-      serving_gap(model, AccelProfile::software(), proc, load);
+      serving_gap(model, proc, load, {.accel = AccelProfile::software()});
   EXPECT_NEAR(same.gap_ratio, base.gap_ratio, 1e-12);
   EXPECT_NEAR(same.session_mj, base.session_mj, 1e-12);
 }
@@ -438,30 +438,30 @@ TEST(AccelTest, ShardedServingGapSplitsLoadAndChargesBarrierTax) {
   load.avg_session_kb = 64.0;
 
   // 1000 merges/s at 2000 instr each = 2 MIPS of barrier tax per shard.
-  const ShardedGapReport four =
-      serving_gap_sharded(model, proc, load, 4, /*slice_us=*/1'000);
+  const ServingGapReport four =
+      serving_gap(model, proc, load, {.shards = {{4, /*slice_us=*/1'000}}});
   EXPECT_NEAR(four.merge_overhead_mips, 2.0, 1e-9);
   EXPECT_NEAR(four.per_shard_required_mips,
-              four.fleet.required_mips / 4.0 + 2.0, 1e-9);
+              four.required_mips / 4.0 + 2.0, 1e-9);
   EXPECT_NEAR(four.shard_utilisation,
               four.per_shard_required_mips / proc.mips, 1e-12);
 
   // One shard pays the same tax but carries the whole fleet.
-  const ShardedGapReport one =
-      serving_gap_sharded(model, proc, load, 1, 1'000);
+  const ServingGapReport one =
+      serving_gap(model, proc, load, {.shards = {{1, 1'000}}});
   EXPECT_NEAR(one.per_shard_required_mips,
-              one.fleet.required_mips + 2.0, 1e-9);
+              one.required_mips + 2.0, 1e-9);
   EXPECT_GT(one.shard_utilisation, four.shard_utilisation);
 
   // min_shards: ceil(required / (mips - tax)), at least 1.
   const double headroom = proc.mips - 2.0;
   EXPECT_NEAR(four.min_shards,
-              std::ceil(four.fleet.required_mips / headroom), 1e-9);
+              std::ceil(four.required_mips / headroom), 1e-9);
   EXPECT_GE(four.min_shards, 1.0);
 
   // Coarser slices shrink the tax.
-  const ShardedGapReport coarse =
-      serving_gap_sharded(model, proc, load, 4, 10'000);
+  const ServingGapReport coarse =
+      serving_gap(model, proc, load, {.shards = {{4, 10'000}}});
   EXPECT_NEAR(coarse.merge_overhead_mips, 0.2, 1e-9);
   EXPECT_LT(coarse.per_shard_required_mips, four.per_shard_required_mips);
 }
@@ -506,19 +506,29 @@ TEST(ServingGapPinTest, ResumingBulkLoad) {
   const Processor proc = Processor::strongarm_sa1100();
   const ServingGapReport plain = serving_gap(model, proc, load);
   const ServingGapReport accel =
-      serving_gap(model, AccelProfile::isa_dispatch(), proc, load);
-  const OffloadGapReport off = serving_gap_offloaded(
-      model, proc, load, kPinLanes, kPinLaneOpS);
-  const BatchedGapReport bat =
-      serving_gap_batched(model, proc, load, kPinLanes, kPinLaneOpS,
-                          kPinBatchWidth, kPinBatchMarginal);
-  const TicketGapReport tk = serving_gap_ticket(
-      model, proc, load, kPinRingBytes, kPinCacheBytes);
-  const ShardedGapReport sh =
-      serving_gap_sharded(model, proc, load, kPinShards, kPinSliceUs);
-  const FailoverGapReport fo = serving_gap_failover(
-      model, proc, load, kPinShards, kPinSliceUs, kPinReconnects,
-      kPinBlackoutS);
+      serving_gap(model, proc, load, {.accel = AccelProfile::isa_dispatch()});
+  const ServingGapReport off = serving_gap(
+      model, proc, load, {.offload = {{.lanes = kPinLanes,
+                                       .lane_op_s = kPinLaneOpS}}});
+  const ServingGapReport bat = serving_gap(
+      model, proc, load,
+      {.offload = {{.lanes = kPinLanes,
+                    .lane_op_s = kPinLaneOpS,
+                    .batch_width = kPinBatchWidth,
+                    .batch_marginal = kPinBatchMarginal}}});
+  const ServingGapReport tk = serving_gap(
+      model, proc, load,
+      {.ticket = {{.ring_state_bytes = kPinRingBytes,
+                   .cache_state_bytes = kPinCacheBytes}}});
+  const ServingTier::Shards shards{.count = kPinShards,
+                                   .slice_us = kPinSliceUs};
+  const ServingGapReport sh =
+      serving_gap(model, proc, load, {.shards = shards});
+  const ServingGapReport fo = serving_gap(
+      model, proc, load,
+      {.shards = shards,
+       .failover = {{.reconnect_sessions = kPinReconnects,
+                     .blackout_s = kPinBlackoutS}}});
   expect_pinned({
       PIN(plain.handshake_mips, 1120.0),
       PIN(plain.bulk_mips, 521.03999999999996),
@@ -538,47 +548,47 @@ TEST(ServingGapPinTest, ResumingBulkLoad) {
       PIN(accel.sessions_per_charge, 1930580.2335059531),
   });
   expect_pinned({
-      PIN(off.host.handshake_mips, 0.0),
-      PIN(off.host.bulk_mips, 521.03999999999996),
-      PIN(off.host.required_mips, 521.03999999999996),
-      PIN(off.host.available_mips, 235.0),
-      PIN(off.host.gap_ratio, 2.217191489361702),
-      PIN(off.host.session_mj, 45.917268735999997),
-      PIN(off.host.sessions_per_charge, 566235.76958564855),
+      PIN(off.handshake_mips, 0.0),
+      PIN(off.bulk_mips, 521.03999999999996),
+      PIN(off.required_mips, 521.03999999999996),
+      PIN(off.available_mips, 235.0),
+      PIN(off.gap_ratio, 2.217191489361702),
+      PIN(off.session_mj, 45.917268735999997),
+      PIN(off.sessions_per_charge, 566235.76958564855),
       PIN(off.pk_ops_per_s, 20.0),
-      PIN(off.lane_service_s, 0.13),
+      PIN(off.lane_op_s, 0.13),
       PIN(off.lanes, 2.0),
       PIN(off.lane_utilisation, 1.3),
       PIN(off.min_lanes, 3.0),
   });
   expect_pinned({
-      PIN(bat.offload.host.handshake_mips, 0.0),
-      PIN(bat.offload.host.bulk_mips, 521.03999999999996),
-      PIN(bat.offload.host.required_mips, 521.03999999999996),
-      PIN(bat.offload.host.available_mips, 235.0),
-      PIN(bat.offload.host.gap_ratio, 2.217191489361702),
-      PIN(bat.offload.host.session_mj, 45.917268735999997),
-      PIN(bat.offload.host.sessions_per_charge, 566235.76958564855),
-      PIN(bat.offload.pk_ops_per_s, 20.0),
-      PIN(bat.offload.lane_service_s, 0.13),
-      PIN(bat.offload.lanes, 2.0),
-      PIN(bat.offload.lane_utilisation, 1.3),
-      PIN(bat.offload.min_lanes, 3.0),
+      PIN(off.handshake_mips, 0.0),
+      PIN(off.bulk_mips, 521.03999999999996),
+      PIN(off.required_mips, 521.03999999999996),
+      PIN(off.available_mips, 235.0),
+      PIN(off.gap_ratio, 2.217191489361702),
+      PIN(off.session_mj, 45.917268735999997),
+      PIN(off.sessions_per_charge, 566235.76958564855),
+      PIN(off.pk_ops_per_s, 20.0),
+      PIN(off.lane_op_s, 0.13),
+      PIN(off.lanes, 2.0),
+      PIN(off.lane_utilisation, 1.3),
+      PIN(off.min_lanes, 3.0),
       PIN(bat.batch_width, 4.0),
       PIN(bat.batch_marginal, 0.29999999999999999),
       PIN(bat.effective_op_s, 0.061749999999999999),
-      PIN(bat.batched_utilisation, 0.61749999999999994),
+      PIN(bat.lane_utilisation, 0.61749999999999994),
       PIN(bat.throughput_gain, 2.1052631578947367),
       PIN(bat.min_lanes, 2.0),
   });
   expect_pinned({
-      PIN(tk.host.handshake_mips, 1120.0),
-      PIN(tk.host.bulk_mips, 521.03999999999996),
-      PIN(tk.host.required_mips, 1641.8463999999999),
-      PIN(tk.host.available_mips, 235.0),
-      PIN(tk.host.gap_ratio, 6.9865804255319146),
-      PIN(tk.host.session_mj, 67.337268735999999),
-      PIN(tk.host.sessions_per_charge, 386116.04670119064),
+      PIN(tk.handshake_mips, 1120.0),
+      PIN(tk.bulk_mips, 521.03999999999996),
+      PIN(tk.required_mips, 1641.8463999999999),
+      PIN(tk.available_mips, 235.0),
+      PIN(tk.gap_ratio, 6.9865804255319146),
+      PIN(tk.session_mj, 67.337268735999999),
+      PIN(tk.sessions_per_charge, 386116.04670119064),
       PIN(tk.ticket_open_mips, 0.69120000000000004),
       PIN(tk.ticket_seal_mips, 0.1152),
       PIN(tk.server_state_bytes, 1024.0),
@@ -586,13 +596,13 @@ TEST(ServingGapPinTest, ResumingBulkLoad) {
       PIN(tk.state_ratio, 150.0),
   });
   expect_pinned({
-      PIN(sh.fleet.handshake_mips, 1120.0),
-      PIN(sh.fleet.bulk_mips, 521.03999999999996),
-      PIN(sh.fleet.required_mips, 1641.04),
-      PIN(sh.fleet.available_mips, 235.0),
-      PIN(sh.fleet.gap_ratio, 6.9831489361702124),
-      PIN(sh.fleet.session_mj, 67.337268735999999),
-      PIN(sh.fleet.sessions_per_charge, 386116.04670119064),
+      PIN(sh.handshake_mips, 1120.0),
+      PIN(sh.bulk_mips, 521.03999999999996),
+      PIN(sh.required_mips, 1641.04),
+      PIN(sh.available_mips, 235.0),
+      PIN(sh.gap_ratio, 6.9831489361702124),
+      PIN(sh.session_mj, 67.337268735999999),
+      PIN(sh.sessions_per_charge, 386116.04670119064),
       PIN(sh.shards, 4.0),
       PIN(sh.merge_overhead_mips, 2.0),
       PIN(sh.per_shard_required_mips, 412.25999999999999),
@@ -600,18 +610,18 @@ TEST(ServingGapPinTest, ResumingBulkLoad) {
       PIN(sh.min_shards, 8.0),
   });
   expect_pinned({
-      PIN(fo.steady.fleet.handshake_mips, 1120.0),
-      PIN(fo.steady.fleet.bulk_mips, 521.03999999999996),
-      PIN(fo.steady.fleet.required_mips, 1641.04),
-      PIN(fo.steady.fleet.available_mips, 235.0),
-      PIN(fo.steady.fleet.gap_ratio, 6.9831489361702124),
-      PIN(fo.steady.fleet.session_mj, 67.337268735999999),
-      PIN(fo.steady.fleet.sessions_per_charge, 386116.04670119064),
-      PIN(fo.steady.shards, 4.0),
-      PIN(fo.steady.merge_overhead_mips, 2.0),
-      PIN(fo.steady.per_shard_required_mips, 412.25999999999999),
-      PIN(fo.steady.shard_utilisation, 1.7542978723404254),
-      PIN(fo.steady.min_shards, 8.0),
+      PIN(fo.handshake_mips, 1120.0),
+      PIN(fo.bulk_mips, 521.03999999999996),
+      PIN(fo.required_mips, 1641.04),
+      PIN(fo.available_mips, 235.0),
+      PIN(fo.gap_ratio, 6.9831489361702124),
+      PIN(fo.session_mj, 67.337268735999999),
+      PIN(fo.sessions_per_charge, 386116.04670119064),
+      PIN(fo.shards, 4.0),
+      PIN(fo.merge_overhead_mips, 2.0),
+      PIN(fo.per_shard_required_mips, 412.25999999999999),
+      PIN(fo.shard_utilisation, 1.7542978723404254),
+      PIN(fo.min_shards, 8.0),
       PIN(fo.surviving_shards, 3.0),
       PIN(fo.degraded_required_mips, 550.21333333333337),
       PIN(fo.degraded_utilisation, 2.3413333333333335),
@@ -633,19 +643,29 @@ TEST(ServingGapPinTest, NoSessionsNoBulkFallbacks) {
   const Processor proc = Processor::strongarm_sa1100();
   const ServingGapReport plain = serving_gap(model, proc, load);
   const ServingGapReport accel =
-      serving_gap(model, AccelProfile::isa_dispatch(), proc, load);
-  const OffloadGapReport off = serving_gap_offloaded(
-      model, proc, load, kPinLanes, kPinLaneOpS);
-  const BatchedGapReport bat =
-      serving_gap_batched(model, proc, load, kPinLanes, kPinLaneOpS,
-                          kPinBatchWidth, kPinBatchMarginal);
-  const TicketGapReport tk = serving_gap_ticket(
-      model, proc, load, kPinRingBytes, kPinCacheBytes);
-  const ShardedGapReport sh =
-      serving_gap_sharded(model, proc, load, kPinShards, kPinSliceUs);
-  const FailoverGapReport fo = serving_gap_failover(
-      model, proc, load, kPinShards, kPinSliceUs, kPinReconnects,
-      kPinBlackoutS);
+      serving_gap(model, proc, load, {.accel = AccelProfile::isa_dispatch()});
+  const ServingGapReport off = serving_gap(
+      model, proc, load, {.offload = {{.lanes = kPinLanes,
+                                       .lane_op_s = kPinLaneOpS}}});
+  const ServingGapReport bat = serving_gap(
+      model, proc, load,
+      {.offload = {{.lanes = kPinLanes,
+                    .lane_op_s = kPinLaneOpS,
+                    .batch_width = kPinBatchWidth,
+                    .batch_marginal = kPinBatchMarginal}}});
+  const ServingGapReport tk = serving_gap(
+      model, proc, load,
+      {.ticket = {{.ring_state_bytes = kPinRingBytes,
+                   .cache_state_bytes = kPinCacheBytes}}});
+  const ServingTier::Shards shards{.count = kPinShards,
+                                   .slice_us = kPinSliceUs};
+  const ServingGapReport sh =
+      serving_gap(model, proc, load, {.shards = shards});
+  const ServingGapReport fo = serving_gap(
+      model, proc, load,
+      {.shards = shards,
+       .failover = {{.reconnect_sessions = kPinReconnects,
+                     .blackout_s = kPinBlackoutS}}});
   expect_pinned({
       PIN(plain.handshake_mips, 672.0),
       PIN(plain.bulk_mips, 0.0),
@@ -665,47 +685,47 @@ TEST(ServingGapPinTest, NoSessionsNoBulkFallbacks) {
       PIN(accel.sessions_per_charge, 1184915.9516263038),
   });
   expect_pinned({
-      PIN(off.host.handshake_mips, 0.0),
-      PIN(off.host.bulk_mips, 0.0),
-      PIN(off.host.required_mips, 0.0),
-      PIN(off.host.available_mips, 235.0),
-      PIN(off.host.gap_ratio, 0.0),
-      PIN(off.host.session_mj, 119.232422912),
-      PIN(off.host.sessions_per_charge, 218061.49170674331),
+      PIN(off.handshake_mips, 0.0),
+      PIN(off.bulk_mips, 0.0),
+      PIN(off.required_mips, 0.0),
+      PIN(off.available_mips, 235.0),
+      PIN(off.gap_ratio, 0.0),
+      PIN(off.session_mj, 119.232422912),
+      PIN(off.sessions_per_charge, 218061.49170674331),
       PIN(off.pk_ops_per_s, 12.0),
-      PIN(off.lane_service_s, 0.13),
+      PIN(off.lane_op_s, 0.13),
       PIN(off.lanes, 2.0),
       PIN(off.lane_utilisation, 0.78000000000000003),
       PIN(off.min_lanes, 2.0),
   });
   expect_pinned({
-      PIN(bat.offload.host.handshake_mips, 0.0),
-      PIN(bat.offload.host.bulk_mips, 0.0),
-      PIN(bat.offload.host.required_mips, 0.0),
-      PIN(bat.offload.host.available_mips, 235.0),
-      PIN(bat.offload.host.gap_ratio, 0.0),
-      PIN(bat.offload.host.session_mj, 119.232422912),
-      PIN(bat.offload.host.sessions_per_charge, 218061.49170674331),
-      PIN(bat.offload.pk_ops_per_s, 12.0),
-      PIN(bat.offload.lane_service_s, 0.13),
-      PIN(bat.offload.lanes, 2.0),
-      PIN(bat.offload.lane_utilisation, 0.78000000000000003),
-      PIN(bat.offload.min_lanes, 2.0),
+      PIN(off.handshake_mips, 0.0),
+      PIN(off.bulk_mips, 0.0),
+      PIN(off.required_mips, 0.0),
+      PIN(off.available_mips, 235.0),
+      PIN(off.gap_ratio, 0.0),
+      PIN(off.session_mj, 119.232422912),
+      PIN(off.sessions_per_charge, 218061.49170674331),
+      PIN(off.pk_ops_per_s, 12.0),
+      PIN(off.lane_op_s, 0.13),
+      PIN(off.lanes, 2.0),
+      PIN(off.lane_utilisation, 0.78000000000000003),
+      PIN(off.min_lanes, 2.0),
       PIN(bat.batch_width, 4.0),
       PIN(bat.batch_marginal, 0.29999999999999999),
       PIN(bat.effective_op_s, 0.061749999999999999),
-      PIN(bat.batched_utilisation, 0.3705),
+      PIN(bat.lane_utilisation, 0.3705),
       PIN(bat.throughput_gain, 2.1052631578947367),
       PIN(bat.min_lanes, 1.0),
   });
   expect_pinned({
-      PIN(tk.host.handshake_mips, 672.0),
-      PIN(tk.host.bulk_mips, 0.0),
-      PIN(tk.host.required_mips, 672.41471999999999),
-      PIN(tk.host.available_mips, 235.0),
-      PIN(tk.host.gap_ratio, 2.861339234042553),
-      PIN(tk.host.session_mj, 109.71242291200001),
-      PIN(tk.host.sessions_per_charge, 236983.19032526077),
+      PIN(tk.handshake_mips, 672.0),
+      PIN(tk.bulk_mips, 0.0),
+      PIN(tk.required_mips, 672.41471999999999),
+      PIN(tk.available_mips, 235.0),
+      PIN(tk.gap_ratio, 2.861339234042553),
+      PIN(tk.session_mj, 109.71242291200001),
+      PIN(tk.sessions_per_charge, 236983.19032526077),
       PIN(tk.ticket_open_mips, 0.34560000000000002),
       PIN(tk.ticket_seal_mips, 0.069120000000000001),
       PIN(tk.server_state_bytes, 1024.0),
@@ -713,13 +733,13 @@ TEST(ServingGapPinTest, NoSessionsNoBulkFallbacks) {
       PIN(tk.state_ratio, 150.0),
   });
   expect_pinned({
-      PIN(sh.fleet.handshake_mips, 672.0),
-      PIN(sh.fleet.bulk_mips, 0.0),
-      PIN(sh.fleet.required_mips, 672.0),
-      PIN(sh.fleet.available_mips, 235.0),
-      PIN(sh.fleet.gap_ratio, 2.8595744680851065),
-      PIN(sh.fleet.session_mj, 109.71242291200001),
-      PIN(sh.fleet.sessions_per_charge, 236983.19032526077),
+      PIN(sh.handshake_mips, 672.0),
+      PIN(sh.bulk_mips, 0.0),
+      PIN(sh.required_mips, 672.0),
+      PIN(sh.available_mips, 235.0),
+      PIN(sh.gap_ratio, 2.8595744680851065),
+      PIN(sh.session_mj, 109.71242291200001),
+      PIN(sh.sessions_per_charge, 236983.19032526077),
       PIN(sh.shards, 4.0),
       PIN(sh.merge_overhead_mips, 2.0),
       PIN(sh.per_shard_required_mips, 170.0),
@@ -727,18 +747,18 @@ TEST(ServingGapPinTest, NoSessionsNoBulkFallbacks) {
       PIN(sh.min_shards, 3.0),
   });
   expect_pinned({
-      PIN(fo.steady.fleet.handshake_mips, 672.0),
-      PIN(fo.steady.fleet.bulk_mips, 0.0),
-      PIN(fo.steady.fleet.required_mips, 672.0),
-      PIN(fo.steady.fleet.available_mips, 235.0),
-      PIN(fo.steady.fleet.gap_ratio, 2.8595744680851065),
-      PIN(fo.steady.fleet.session_mj, 109.71242291200001),
-      PIN(fo.steady.fleet.sessions_per_charge, 236983.19032526077),
-      PIN(fo.steady.shards, 4.0),
-      PIN(fo.steady.merge_overhead_mips, 2.0),
-      PIN(fo.steady.per_shard_required_mips, 170.0),
-      PIN(fo.steady.shard_utilisation, 0.72340425531914898),
-      PIN(fo.steady.min_shards, 3.0),
+      PIN(fo.handshake_mips, 672.0),
+      PIN(fo.bulk_mips, 0.0),
+      PIN(fo.required_mips, 672.0),
+      PIN(fo.available_mips, 235.0),
+      PIN(fo.gap_ratio, 2.8595744680851065),
+      PIN(fo.session_mj, 109.71242291200001),
+      PIN(fo.sessions_per_charge, 236983.19032526077),
+      PIN(fo.shards, 4.0),
+      PIN(fo.merge_overhead_mips, 2.0),
+      PIN(fo.per_shard_required_mips, 170.0),
+      PIN(fo.shard_utilisation, 0.72340425531914898),
+      PIN(fo.min_shards, 3.0),
       PIN(fo.surviving_shards, 3.0),
       PIN(fo.degraded_required_mips, 227.19999999999999),
       PIN(fo.degraded_utilisation, 0.96680851063829787),
@@ -749,6 +769,52 @@ TEST(ServingGapPinTest, NoSessionsNoBulkFallbacks) {
       PIN(fo.crash_energy_full_mj, 14280.0),
       PIN(fo.ticket_saving_ratio, 9333.3333333333339),
   });
+}
+
+TEST(ServingGapTest, LayersComposeInFixedOrder) {
+  const auto model = WorkloadModel::paper_calibrated();
+  const Processor proc = Processor::strongarm_sa1100();
+  ServedLoad load;
+  load.full_handshakes_per_s = 20;
+  load.resumed_handshakes_per_s = 60;
+  load.bulk_mbps = 8;
+  load.avg_session_kb = 48;
+  load.sessions_per_s = 80;
+  const AccelProfile isa = AccelProfile::isa_dispatch();
+  const ServingTier::Offload lanes{.lanes = 2, .lane_op_s = 0.13};
+  const ServingGapReport accel = serving_gap(model, proc, load, {.accel = isa});
+  const ServingGapReport off =
+      serving_gap(model, proc, load, {.offload = lanes});
+  const ServingGapReport all = serving_gap(
+      model, proc, load,
+      {.accel = isa,
+       .offload = lanes,
+       .ticket = {{.ring_state_bytes = 1024, .cache_state_bytes = 153'600}},
+       .shards = {{.count = 4, .slice_us = 1'000}},
+       .failover = {{.reconnect_sessions = 150, .blackout_s = 0.25}}});
+
+  // Offload takes the pk term off the host; accel prices what is left.
+  EXPECT_EQ(all.handshake_mips, 0.0);
+  EXPECT_EQ(all.bulk_mips, accel.bulk_mips);
+  EXPECT_EQ(all.lane_utilisation, off.lane_utilisation);
+  // The ticket CCM work joins the host plane before the shard split and
+  // the failover redistribution see it.
+  EXPECT_GT(all.ticket_open_mips, 0.0);
+  EXPECT_DOUBLE_EQ(all.required_mips, all.bulk_mips + all.ticket_open_mips +
+                                          all.ticket_seal_mips);
+  EXPECT_DOUBLE_EQ(all.per_shard_required_mips,
+                   all.required_mips / 4 + all.merge_overhead_mips);
+  EXPECT_DOUBLE_EQ(all.degraded_required_mips,
+                   all.required_mips / 3 + all.merge_overhead_mips +
+                       all.burst_mips / 3);
+  // Energy: the accel efficiency divides the host bill once; the
+  // offloaded pk op stays billed at the crypto accelerator's efficiency.
+  const double pk_mj =
+      0.25 * proc.millijoules_for(model.instr_per_op(kReferencePk)) /
+      AccelProfile::crypto_accelerator().energy_efficiency;
+  EXPECT_NEAR(all.session_mj,
+              (off.session_mj - pk_mj) / isa.energy_efficiency + pk_mj, 1e-9);
+  EXPECT_EQ(all.sessions_per_charge, kBatteryKj * 1e6 / all.session_mj);
 }
 
 }  // namespace

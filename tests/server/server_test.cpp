@@ -297,13 +297,18 @@ TEST_F(ServerTest, ReportPricesLoadAgainstTheAppliance) {
   const LoadReport report = gen.run();
 
   EXPECT_GT(report.sim_duration_s, 0.0);
-  EXPECT_GT(report.full_handshakes_per_s, 0.0);
-  EXPECT_GT(report.record_mbps, 0.0);
+  EXPECT_GT(report.served.full_handshakes_per_s, 0.0);
+  EXPECT_GT(report.served.bulk_mbps, 0.0);
   EXPECT_LE(report.handshake_p50_ms, report.handshake_p99_ms);
   EXPECT_EQ(report.fleet_digest.size(), 32u);
   // Figure 3's point: required serving MIPS dwarfs the appliance budget.
   EXPECT_GT(report.gap.required_mips, 0.0);
   EXPECT_GT(report.gap.sessions_per_charge, 0.0);
+  // Priced at the tier the run used: one shard, no ticket layer.
+  EXPECT_EQ(report.gap.shards, 1.0);
+  EXPECT_EQ(report.gap.per_shard_required_mips,
+            report.gap.required_mips + report.gap.merge_overhead_mips);
+  EXPECT_EQ(report.gap.ticket_open_mips, 0.0);
 }
 
 // The acceptance soak: >= 1000 sessions through one server over a 5%-loss

@@ -280,7 +280,7 @@ TEST_F(ShardedServerTest, CoreModelScalesAggregateRateWithShards) {
     const LoadReport report = gen.run();
     ASSERT_EQ(report.sessions_completed, 48u) << shards;
     ASSERT_GT(report.server.core_busy_us, 0.0) << shards;
-    const double rate = report.full_handshakes_per_s;
+    const double rate = report.served.full_handshakes_per_s;
     if (shards == 1) {
       rate1 = rate;
       digest1 = report.fleet_digest;
