@@ -51,20 +51,19 @@
 // failover at appliance scale.
 //
 // E26 closes the file at wall-clock speed: the real-socket bearer. A
-// 2-shard SocketServerFleet listens on loopback TCP while two
-// bench_socket_load_gen child processes drive the same seeded client
-// fleet the sim reference ran — same seeds, same arrival stream, same
-// shard routing — over real sockets. Gates: session outcomes (handshake
-// mix, completion counts, echoes, refolded fleet digest, conservation
-// books) byte-identical to the sim run, and the pooled record path
-// allocating nothing past its pre-reserve. Wall-clock handshakes/s and
+// 2-shard SocketServerFleet listens on loopback TCP while one
+// SocketClientFleet on this thread drives the same seeded client fleet
+// the sim reference ran — same seeds, same arrival stream, same shard
+// routing — over real sockets. Gates: session outcomes (handshake mix,
+// completion counts, echoes, fleet digest, conservation books)
+// byte-identical to the sim run, and the pooled record path on both
+// sides allocating nothing past its pre-reserve. Wall-clock handshakes/s and
 // record-Mbit/s are reported as informational (_wall-suffixed) rates
 // next to the sim-modeled ones. Skipped visibly when the sandbox has no
 // loopback TCP.
 //
 // Usage: bench_server_load [json-output-path]
 //   Writes BENCH_server.json (default: ./BENCH_server.json).
-#include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
@@ -279,72 +278,6 @@ FloodOutcome run_flood(const chaos::CampaignConfig& cfg,
 
 // ---- scenario 10 (E26): real-socket bearer at wall-clock speed ---------
 
-/// Parsed key=value output of one bench_socket_load_gen child process.
-struct ChildOutcome {
-  std::map<std::string, std::string> kv;
-  bool ok = false;
-
-  std::uint64_t num(const char* key) const {
-    auto it = kv.find(key);
-    return it == kv.end() ? 0
-                          : std::strtoull(it->second.c_str(), nullptr, 10);
-  }
-  double real(const char* key) const {
-    auto it = kv.find(key);
-    return it == kv.end() ? 0.0 : std::atof(it->second.c_str());
-  }
-};
-
-/// Directory holding this binary — bench_socket_load_gen lives next to
-/// it in the build tree.
-std::string self_dir() {
-  char buf[4096];
-  ssize_t n = readlink("/proc/self/exe", buf, sizeof buf - 1);
-  if (n <= 0) return ".";
-  buf[n] = '\0';
-  std::string path(buf);
-  std::size_t slash = path.rfind('/');
-  return slash == std::string::npos ? std::string(".")
-                                    : path.substr(0, slash);
-}
-
-/// Drain one child's stdout into key=value pairs; ok iff it exited 0.
-ChildOutcome read_child(FILE* pipe) {
-  ChildOutcome out;
-  if (!pipe) return out;
-  char line[16384];
-  while (std::fgets(line, sizeof line, pipe)) {
-    std::string s(line);
-    while (!s.empty() && (s.back() == '\n' || s.back() == '\r'))
-      s.pop_back();
-    std::size_t eq = s.find('=');
-    if (eq != std::string::npos) out.kv[s.substr(0, eq)] = s.substr(eq + 1);
-  }
-  out.ok = pclose(pipe) == 0;
-  return out;
-}
-
-/// Decode the children's concatenated per-client digest hex back into
-/// 32-byte lanes (process order = global client order).
-std::vector<crypto::Bytes> decode_digests(const std::string& hex) {
-  auto nibble = [](char c) -> int {
-    if (c >= '0' && c <= '9') return c - '0';
-    if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-    return -1;
-  };
-  std::vector<crypto::Bytes> lanes;
-  for (std::size_t i = 0; i + 64 <= hex.size(); i += 64) {
-    crypto::Bytes d(32);
-    for (std::size_t j = 0; j < 32; ++j) {
-      int hi = nibble(hex[i + 2 * j]), lo = nibble(hex[i + 2 * j + 1]);
-      if (hi < 0 || lo < 0) return {};
-      d[j] = static_cast<std::uint8_t>((hi << 4) | lo);
-    }
-    lanes.push_back(std::move(d));
-  }
-  return lanes;
-}
-
 /// Everything the E26 gates and JSON block need to survive scope exit.
 struct SocketWallclock {
   bool skipped = true;
@@ -352,7 +285,7 @@ struct SocketWallclock {
   bool digest_match = false;
   bool conserved = false;
   bool zero_alloc = false;
-  bool children_ok = false;
+  bool all_finished = false;
   std::size_t echo_mismatches = 0;
   std::uint64_t bearer_errors = 0;
   std::uint64_t accepted = 0;
@@ -365,7 +298,7 @@ struct SocketWallclock {
 
   bool ok() const {
     return skipped || (outcome_equal && digest_match && conserved &&
-                       zero_alloc && children_ok && echo_mismatches == 0);
+                       zero_alloc && all_finished && echo_mismatches == 0);
   }
 };
 
@@ -1020,14 +953,14 @@ int main(int argc, char** argv) {
 
   // Scenario 10 (E26): the real-socket bearer at wall-clock speed. The
   // sim reference run (loss-free channels) fixes what the session
-  // outcomes MUST be; a 2-shard loopback fleet plus two child processes
-  // then reproduce them over real TCP. Rates here are wall-clock and
+  // outcomes MUST be; a 2-shard loopback fleet and one in-process client
+  // fleet then reproduce them over real TCP. Rates here are wall-clock and
   // host-dependent — informational by naming convention (_wall suffix) —
   // while the outcome equality, conservation and zero-allocation gates
   // are structural.
   std::puts("\n-- E26: real-socket bearer (2 shards on loopback TCP, "
-            "2 processes x 30 clients\n   x 2 sessions, outcomes vs the "
-            "sim run for the same seed) --");
+            "60 clients\n   x 2 sessions, outcomes vs the sim run for the "
+            "same seed) --");
   constexpr std::size_t kSocketClients = 60;
   constexpr std::uint64_t kSocketSeed = 0xE26;
   SocketWallclock sw;
@@ -1050,7 +983,6 @@ int main(int argc, char** argv) {
 
     server::SocketFleetConfig fleet_cfg;
     fleet_cfg.shards = 2;
-    fleet_cfg.seed = kSocketSeed;
     fleet_cfg.reserve_slabs_per_shard = 256;
     server::SocketServerFleet fleet(fleet_cfg, server_config(pki),
                                     socket_cache);
@@ -1058,64 +990,35 @@ int main(int argc, char** argv) {
       std::puts("SKIP: could not bind loopback listeners");
     } else {
       fleet.start();
-      std::string csv;
-      for (std::uint16_t port : fleet.ports()) {
-        if (!csv.empty()) csv += ',';
-        csv += std::to_string(port);
-      }
-      const std::string base =
-          self_dir() + "/bench_socket_load_gen --ports=" + csv +
-          " --seed=" + std::to_string(kSocketSeed) +
-          " --sessions=2 --clients=" + std::to_string(kSocketClients / 2);
-      FILE* pa = popen((base + " --first=0").c_str(), "r");
-      FILE* pb =
-          popen((base + " --first=" + std::to_string(kSocketClients / 2))
-                    .c_str(),
-                "r");
-      const ChildOutcome ca = read_child(pa);
-      const ChildOutcome cb = read_child(pb);
+      server::SocketLoadConfig socket_load;
+      socket_load.num_clients = kSocketClients;
+      socket_load.seed = kSocketSeed;
+      socket_load.reserve_slabs = 4 * kSocketClients + 32;
+      const server::SocketClientReport clients =
+          server::SocketClientFleet(socket_load, socket_client,
+                                    server_config(pki), fleet.ports())
+              .run();
       const server::SocketServerFleet::Report servers = fleet.stop();
 
-      const std::size_t attempted =
-          ca.num("sessions_attempted") + cb.num("sessions_attempted");
-      const std::size_t completed =
-          ca.num("sessions_completed") + cb.num("sessions_completed");
-      const std::size_t failed =
-          ca.num("sessions_failed") + cb.num("sessions_failed");
-      sw.echo_mismatches =
-          ca.num("echo_mismatches") + cb.num("echo_mismatches");
-      sw.bearer_errors = ca.num("bearer_errors") + cb.num("bearer_errors");
-      sw.children_ok = ca.ok && cb.ok;
+      sw.echo_mismatches = clients.echo_mismatches;
+      sw.bearer_errors = clients.bearer_errors;
+      sw.all_finished = clients.all_finished;
       sw.accepted = servers.accepted;
       sw.conserved = servers.conserved;
-      sw.zero_alloc =
-          servers.zero_steady_state_alloc &&
-          ca.num("arena_allocations") == ca.num("arena_reserved") &&
-          cb.num("arena_allocations") == cb.num("arena_reserved");
+      sw.zero_alloc = servers.zero_steady_state_alloc &&
+                      clients.arena.allocations == clients.arena.reserved;
       sw.outcome_equal =
-          attempted == ref.sessions_attempted &&
-          completed == ref.sessions_completed &&
-          failed == ref.sessions_failed &&
+          clients.sessions_attempted == ref.sessions_attempted &&
+          clients.sessions_completed == ref.sessions_completed &&
+          clients.sessions_failed == ref.sessions_failed &&
           servers.server.full_handshakes == ref.server.full_handshakes &&
           servers.server.resumed_handshakes ==
               ref.server.resumed_handshakes &&
           servers.server.bytes_opened == ref.server.bytes_opened &&
           servers.server.bytes_sealed == ref.server.bytes_sealed;
+      sw.digest_match = clients.fleet_digest == ref.fleet_digest;
 
-      // Refold the global fleet digest from the children's per-client
-      // digest blocks (process order = global client-id order).
-      std::vector<crypto::Bytes> lane_bytes = decode_digests(
-          ca.kv.count("digests") ? ca.kv.at("digests") : std::string());
-      std::vector<crypto::Bytes> lanes_b = decode_digests(
-          cb.kv.count("digests") ? cb.kv.at("digests") : std::string());
-      lane_bytes.insert(lane_bytes.end(), lanes_b.begin(), lanes_b.end());
-      std::vector<crypto::ConstBytes> lanes;
-      lanes.reserve(lane_bytes.size());
-      for (const crypto::Bytes& d : lane_bytes) lanes.emplace_back(d);
-      sw.digest_match = lane_bytes.size() == kSocketClients &&
-                        server::fold_fleet_digest(lanes) == ref.fleet_digest;
-
-      sw.wall_s = std::max(ca.real("wall_s"), cb.real("wall_s"));
+      sw.wall_s = clients.wall_s;
       if (sw.wall_s > 0) {
         sw.full_per_s_wall =
             static_cast<double>(servers.server.full_handshakes) / sw.wall_s;
@@ -1156,7 +1059,7 @@ int main(int argc, char** argv) {
                   analysis::fmt(sw.wall_over_modeled_record, 1) + "x"});
       st.add_row({"sessions completed",
                   std::to_string(ref.sessions_completed),
-                  std::to_string(completed),
+                  std::to_string(clients.sessions_completed),
                   sw.outcome_equal ? "EQUAL" : "DIVERGED"});
       st.add_row({"fleet digest", hex_prefix(ref.fleet_digest),
                   sw.digest_match ? hex_prefix(ref.fleet_digest)
@@ -1363,7 +1266,6 @@ int main(int argc, char** argv) {
         "    \"shards\": 2,\n"
         "    \"fleet_clients\": %zu,\n"
         "    \"sessions_each\": 2,\n"
-        "    \"processes\": 2,\n"
         "    \"outcome_equal\": %s,\n"
         "    \"digest_match\": %s,\n"
         "    \"conserved\": %s,\n"

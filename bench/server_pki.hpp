@@ -1,9 +1,10 @@
 // Shared bench PKI: one deterministic RSA-512 certificate world used by
-// bench_server_load (the in-process scenarios AND the E26 socket-fleet
-// parent) and bench_socket_load_gen (the child processes). Parent and
-// children never exchange key material — both derive the identical CA /
-// server identity from the same seeded rng, so a child's trusted root
-// verifies the parent fleet's certificate chain by construction.
+// bench_server_load (the in-process scenarios, E26's socket fleets
+// included), bench_socket_load_gen and `session_server --listen`. The
+// load generator and the listening server never exchange key material —
+// both derive the identical CA / server identity from the same seeded
+// rng, so the generator's trusted root verifies the server's certificate
+// chain by construction.
 #pragma once
 
 #include <utility>

@@ -1,18 +1,15 @@
-// Multi-process socket load generator — the client half of E26.
-//
-// bench_server_load (the parent) hosts the SocketServerFleet and spawns
-// one of these per client block; each process drives its block of
-// SessionClients over real loopback TCP from its own reactor thread and
-// reports the outcome as key=value lines on stdout. Seeds and shard
-// routing derive from GLOBAL client ids, so the union of the children's
-// fleets is exactly the sim LoadGenerator's fleet for the same seed —
-// the parent concatenates the children's per-client digest blocks in
-// process order and refolds the global fleet digest.
+// Socket load generator: drives a seeded SocketClientFleet over real
+// loopback TCP against a running server fleet, e.g. the one
+// `session_server --listen` prints the ports of, and reports the outcome
+// as key=value lines on stdout. Seeds and shard routing follow the sim
+// LoadGenerator's, so the outcome of a seed is directly comparable with
+// the sim run of the same fleet. `--probe` tells scripts whether loopback
+// TCP works here at all.
 //
 // Usage:
 //   bench_socket_load_gen --probe
 //       exit 0 if loopback TCP works here, 2 if not (visible CI SKIP)
-//   bench_socket_load_gen --ports=P1,P2,.. --clients=N [--first=I]
+//   bench_socket_load_gen --ports=P1,P2,.. --clients=N
 //       [--seed=S] [--sessions=K] [--interarrival-us=U] [--budget-us=B]
 #include <cinttypes>
 #include <cstdio>
@@ -41,17 +38,6 @@ std::vector<std::uint16_t> parse_ports(const std::string& csv) {
   return ports;
 }
 
-std::string to_hex(const crypto::Bytes& bytes) {
-  static const char* digits = "0123456789abcdef";
-  std::string out;
-  out.reserve(bytes.size() * 2);
-  for (std::uint8_t b : bytes) {
-    out += digits[b >> 4];
-    out += digits[b & 0xF];
-  }
-  return out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -68,8 +54,6 @@ int main(int argc, char** argv) {
       ports = parse_ports(value());
     } else if (arg.rfind("--clients=", 0) == 0) {
       load.num_clients = std::strtoul(value().c_str(), nullptr, 10);
-    } else if (arg.rfind("--first=", 0) == 0) {
-      load.first_client_id = std::strtoul(value().c_str(), nullptr, 10);
     } else if (arg.rfind("--seed=", 0) == 0) {
       load.seed = std::strtoull(value().c_str(), nullptr, 0);
     } else if (arg.rfind("--sessions=", 0) == 0) {
@@ -87,7 +71,7 @@ int main(int argc, char** argv) {
   if (ports.empty() || load.num_clients == 0) {
     std::fprintf(stderr,
                  "usage: bench_socket_load_gen --probe | "
-                 "--ports=P1,P2 --clients=N [--first=I] [--seed=S] "
+                 "--ports=P1,P2 --clients=N [--seed=S] "
                  "[--sessions=K] [--interarrival-us=U] [--budget-us=B]\n");
     return 1;
   }
@@ -105,8 +89,6 @@ int main(int argc, char** argv) {
                                   bench::pki_server_config(pki), ports);
   const server::SocketClientReport r = fleet.run();
 
-  std::string digests;
-  for (const crypto::Bytes& d : r.client_digests) digests += to_hex(d);
   std::printf("sessions_attempted=%zu\n", r.sessions_attempted);
   std::printf("sessions_completed=%zu\n", r.sessions_completed);
   std::printf("sessions_failed=%zu\n", r.sessions_failed);
@@ -125,6 +107,5 @@ int main(int argc, char** argv) {
   std::printf("arena_allocations=%" PRIu64 "\n", r.arena.allocations);
   std::printf("arena_reserved=%zu\n", r.arena.reserved);
   std::printf("arena_peak_in_use=%zu\n", r.arena.peak_in_use);
-  std::printf("digests=%s\n", digests.c_str());
   return r.all_finished && r.echo_mismatches == 0 ? 0 : 1;
 }

@@ -233,10 +233,11 @@ def check_socket_wallclock(path):
     Wall-clock socket rates are host-dependent by nature, and the bench
     deliberately names them with _wall suffixes so the throughput walk
     above never compares them against a baseline. What IS absolute is
-    correctness: the loopback socket-fleet run must have reproduced the
-    sim run's session outcomes exactly (handshake mix, byte-exact
-    echoes via the refolded fleet digest), kept the conservation books
-    balanced, and never allocated past the arena pre-reserve on the
+    correctness: the loopback run (a SocketServerFleet and one
+    in-process SocketClientFleet) must have reproduced the sim run's
+    session outcomes exactly (handshake mix, byte-exact echoes via the
+    client fleet's digest), kept the tier's conservation books balanced,
+    and never allocated past the arena pre-reserve on either side's
     record path. Reports without the block, or runs that skipped it
     because the sandbox has no loopback sockets, pass vacuously — the
     skip is already visible in the bench output.
@@ -251,8 +252,8 @@ def check_socket_wallclock(path):
         failures.append("socket-fleet session outcomes diverged from the "
                         "sim run for the same seed")
     if sw.get("digest_match") is not True:
-        failures.append("refolded socket fleet digest differs from the "
-                        "sim fleet digest")
+        failures.append("socket fleet digest differs from the sim fleet "
+                        "digest")
     if sw.get("conserved") is not True:
         failures.append("conservation books did not balance across the "
                         "socket fleet")

@@ -10,9 +10,10 @@
 // instead of asserted.
 //
 // `--listen [--shards N] [--seconds S]` instead serves the same stack
-// over real loopback TCP (net::SocketBearer): it prints the listener
-// ports and waits, so an external load generator can hammer it at
-// wall-clock speed, e.g.
+// over real loopback TCP (net::SocketBearer): a SocketServerFleet hosts
+// the sharded tier the sim runs build, one reactor thread per shard. It
+// prints the listener ports and waits, so an external load generator can
+// hammer it at wall-clock speed, e.g.
 //
 //   ./build/examples/session_server --listen --shards 2 &
 //   ./build/bench/bench_socket_load_gen --ports=P1,P2 --clients=50

@@ -28,6 +28,7 @@
 #include "mapsec/net/channel.hpp"
 #include "mapsec/platform/energy.hpp"
 #include "mapsec/server/client.hpp"
+#include "mapsec/server/load_gen.hpp"
 #include "mapsec/server/server.hpp"
 #include "mapsec/server/session_cache.hpp"
 
@@ -42,12 +43,12 @@ struct CampaignConfig {
   /// shard just doesn't answer their dial), bearer weather is scheduled
   /// identically on every shard's queue (and rebuilt when a crashed shard
   /// rejoins), TicketKeyRotation goes through the tier's epoch-barrier
-  /// control channel, and the Shard* lifecycle faults are available. With
-  /// one shard, WorkerStall/OffloadStall act on shard 0 and
-  /// DispatchFailure/RngExhaustion land on its queue at their exact
-  /// instant. With more, those four flip process-global state or name a
-  /// worker with no owning shard, and are rejected with
-  /// std::invalid_argument.
+  /// control channel, as does DispatchFailure (at the first barrier at or
+  /// after its instant), and the Shard* lifecycle faults are available.
+  /// With one shard, WorkerStall/OffloadStall act on shard 0 and
+  /// RngExhaustion lands on its queue at its exact instant. With more,
+  /// those three drain the one shared rng or name a worker with no owning
+  /// shard, and are rejected with std::invalid_argument.
   std::size_t shards = 1;
   net::SimTime slice_us = 1'000;
   /// Wall-clock budget per slice before the hang watchdog fires (only
@@ -76,7 +77,8 @@ struct CampaignConfig {
   std::size_t max_events = 200'000'000;  // runaway guard
 };
 
-struct CampaignReport {
+/// The honest fleet's session outcome is the SessionTally base.
+struct CampaignReport : server::SessionTally {
   server::ServerStats server;
 
   bool drained = false;        // queue emptied within max_events
@@ -86,11 +88,7 @@ struct CampaignReport {
   std::uint64_t degraded_transitions = 0;
   double sim_duration_s = 0;
 
-  // Honest fleet outcome.
-  std::size_t sessions_attempted = 0;
-  std::size_t sessions_completed = 0;
-  std::size_t sessions_failed = 0;   // gave up after the retry budget
-  std::size_t echo_mismatches = 0;
+  // Honest fleet outcome, beyond the tally.
   std::size_t honest_refused_attempts = 0;
   /// SHA-256 over honest clients' transcript digests, in client order —
   /// bit-identical across pipeline worker counts for the same seed.

@@ -60,8 +60,9 @@ struct BandwidthCollapse {
 /// The accelerated crypto backend "fails" mid-run: dispatch is pinned to
 /// the scalar path (crypto::dispatch::force_scalar), recovering after
 /// `duration_us` (0 = rest of the run). Kernels are bit-identical, so
-/// this must be output-invariant — only costs change. One-shard
-/// campaigns only (the switch is process-global).
+/// this must be output-invariant — only costs change. The switch is
+/// process-global, so it flips at an epoch barrier, with every shard
+/// quiescent.
 struct DispatchFailure {
   net::SimTime at_us = 0;
   net::SimTime duration_us = 0;

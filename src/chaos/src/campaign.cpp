@@ -56,15 +56,15 @@ CampaignReport CampaignRunner::run() {
 
   // Validate the plan BEFORE building any world. With one shard nothing
   // runs concurrently: the bare-index stalls become shard 0's stalls, and
-  // the process-global pair lands on shard 0's queue at its exact
-  // instant. With several shards those four cannot be delivered
-  // deterministically and are rejected; stalls have shard-scoped
-  // replacements, the process-global pair has none.
+  // RngExhaustion lands on shard 0's queue at its exact instant. With
+  // several shards those three cannot be delivered deterministically and
+  // are rejected; stalls have shard-scoped replacements, RngExhaustion
+  // has none. DispatchFailure rides the barrier control queue at any
+  // shard count.
   FaultPlan plan = config_.faults;
   for (Fault& fault : plan) {
     if (num_shards > 1) {
-      if (std::get_if<DispatchFailure>(&fault) != nullptr ||
-          std::get_if<RngExhaustion>(&fault) != nullptr)
+      if (std::get_if<RngExhaustion>(&fault) != nullptr)
         throw std::invalid_argument(
             "chaos: DispatchFailure/RngExhaustion flip process-global state "
             "(crypto dispatch, the one exhaustible rng) and cannot be "
@@ -317,14 +317,19 @@ CampaignReport CampaignRunner::run() {
       tier.schedule_hang(f->at_us, f->shard, repair);
       if (f->repair_us != 0) ++planned_rejoins;
     } else if (const auto* f = std::get_if<DispatchFailure>(&fault)) {
-      // One shard only (validated above): its queue is the whole world.
-      tier.queue(0).schedule_at(f->at_us,
-                                [] { crypto::dispatch::force_scalar(true); });
+      // Flipped at a barrier, with every shard quiescent. The crypto bytes
+      // are the same on every backend, so the flip moves no outcome.
+      tier.schedule_control(f->at_us, [](server::SecureSessionServer&,
+                                         std::size_t) {
+        crypto::dispatch::force_scalar(true);
+      });
       if (f->duration_us != 0)
-        tier.queue(0).schedule_at(f->at_us + f->duration_us,
-                                  [prev = dispatch_guard.prev] {
-                                    crypto::dispatch::force_scalar(prev);
-                                  });
+        tier.schedule_control(
+            f->at_us + f->duration_us,
+            [prev = dispatch_guard.prev](server::SecureSessionServer&,
+                                         std::size_t) {
+              crypto::dispatch::force_scalar(prev);
+            });
     } else if (const auto* f = std::get_if<RngExhaustion>(&fault)) {
       tier.queue(0).schedule_at(f->at_us, [&] { server_rng.exhaust(); });
       tier.queue(0).schedule_at(f->at_us + f->duration_us,
@@ -461,14 +466,10 @@ CampaignReport CampaignRunner::run() {
   crypto::Bytes digest_stream;
   std::vector<net::SimTime> blackouts;
   for (const auto& client : clients) {
-    for (const server::SessionRecord& record : client->sessions()) {
-      ++report.sessions_attempted;
-      if (record.completed) ++report.sessions_completed;
-      if (record.failed) ++report.sessions_failed;
-      if (!record.echo_ok) ++report.echo_mismatches;
+    report.add(*client);
+    for (const server::SessionRecord& record : client->sessions())
       report.honest_refused_attempts +=
           static_cast<std::size_t>(record.refused_attempts);
-    }
     report.client_reconnects += static_cast<std::size_t>(client->reconnects());
     report.failover_resumes +=
         static_cast<std::size_t>(client->failover_resumes());

@@ -106,8 +106,12 @@ ServingGapReport serving_gap(const WorkloadModel& model,
   const double bulk_instr_per_kb =
       model.instr_per_byte(kReferenceCipher) * 1024.0 +
       model.instr_per_byte(kReferenceMac) * 1024.0;
+  // The offload layer bills the whole pk op itself, so the host's share
+  // is zero there, not per_session(0)'s no-sessions fallback of one op.
+  const double host_pk_share =
+      tier.offload ? 0.0 : per_session(load.full_handshakes_per_s);
   const double session_instr =
-      per_session(host_full_per_s) * model.instr_per_op(kReferencePk) +
+      host_pk_share * model.instr_per_op(kReferencePk) +
       load.avg_session_kb * bulk_instr_per_kb;
   const double accel_efficiency =
       tier.accel && tier.accel->energy_efficiency > 0

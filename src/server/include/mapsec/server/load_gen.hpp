@@ -70,6 +70,19 @@ net::SimTime load_exponential_us(crypto::Rng& rng, double mean_us);
 /// and, with the socket bearer, across transports.
 crypto::Bytes fold_fleet_digest(const std::vector<crypto::ConstBytes>& lanes);
 
+/// Session-record tally of a client fleet: the outcome counts every load
+/// report carries (sim, socket and chaos runs alike).
+struct SessionTally {
+  std::size_t sessions_attempted = 0;
+  std::size_t sessions_completed = 0;
+  std::size_t sessions_failed = 0;  // gave up after the retry budget
+  std::size_t echo_mismatches = 0;  // session records with a bad echo
+  std::size_t connection_attempts = 0;
+
+  /// Count every session record of `client`.
+  void add(const SessionClient& client);
+};
+
 /// The Figure 3 axes of a finished run: handshake, session and protected
 /// record rates over `sim_duration_s` (a zero duration prices as one
 /// second), and the protected KB of an average completed session. The one
@@ -77,18 +90,6 @@ crypto::Bytes fold_fleet_digest(const std::vector<crypto::ConstBytes>& lanes);
 platform::ServedLoad served_load(const ServerStats& stats,
                                  std::size_t sessions_completed,
                                  double sim_duration_s);
-
-/// Buffer-arena accounting carried in load reports. For socket-bearer
-/// runs, `allocations == reserved` is the zero-steady-state-allocation
-/// witness: the record path never grew the pool beyond its pre-reserved
-/// working set. Sim-bearer runs leave it zeroed.
-struct ArenaUsage {
-  std::uint64_t allocations = 0;
-  std::uint64_t acquires = 0;
-  std::uint64_t recycles = 0;
-  std::size_t peak_in_use = 0;
-  std::size_t reserved = 0;
-};
 
 struct LoadConfig {
   std::size_t num_clients = 100;
@@ -112,7 +113,7 @@ struct LoadConfig {
   platform::Processor appliance;
 };
 
-struct LoadReport {
+struct LoadReport : SessionTally {
   ServerStats server;
   BoundedSessionCache::Stats cache;
   double cache_hit_rate = 0;
@@ -122,12 +123,6 @@ struct LoadReport {
   /// 0 when ticket mode is off). The scaling argument in two numbers.
   std::size_t cache_state_bytes = 0;
   std::size_t ticket_state_bytes = 0;
-
-  std::size_t sessions_attempted = 0;
-  std::size_t sessions_completed = 0;
-  std::size_t sessions_failed = 0;  // gave up after the retry budget
-  std::size_t echo_mismatches = 0;  // session records with a bad echo
-  std::size_t connection_attempts = 0;
 
   double sim_duration_s = 0;
   /// Serving rates over sim_duration_s; bulk_mbps is the protected
@@ -152,9 +147,6 @@ struct LoadReport {
   /// SHA-256 over every client's transcript digest in client order —
   /// the determinism witness compared across worker counts.
   crypto::Bytes fleet_digest;
-
-  /// Record-path buffer-pool accounting (socket-bearer runs only).
-  ArenaUsage arena;
 
   /// Sharded-tier view: per-shard slices (the fleet totals above equal
   /// their sums), slice barriers crossed, the fleet's open-connection

@@ -4,11 +4,12 @@
 // Every PR so far parallelized the crypto under ONE event loop
 // (PacketPipeline workers, OffloadEngine lanes, batch windows); the
 // serving tier itself — accepts, timers, the session state machine —
-// still ran on one core. This tier shards it: each shard owns its own
-// net::EventQueue, SecureSessionServer (with its own modeled core,
-// PacketPipeline workers and OffloadEngine lanes), BoundedSessionCache
-// partition and TicketKeyRing, and a real std::thread drives each shard's
-// queue (net::ShardExecutor) while SIMULATED time remains the clock.
+// still ran on one core. This tier shards it: each shard runs on its own
+// net::EventQueue and owns a SecureSessionServer (with its own modeled
+// core, PacketPipeline workers and OffloadEngine lanes),
+// BoundedSessionCache partition and TicketKeyRing, and a real std::thread
+// drives each shard's queue (net::ShardExecutor) while SIMULATED time
+// remains the clock.
 // Connections hash to shards by a stable FNV-1a over the client's
 // connection key at accept time — session affinity, the way an L4 hash on
 // the client address routes a handset's reconnects to the same front-end.
@@ -18,17 +19,23 @@
 // merge step — on the coordinating thread, with all shards quiescent —
 // (1) applies due control messages (ticket key rotations, chaos ops) to
 // the shards in deterministic (due, seq) order, and (2) with more than
-// one shard, recomputes the barrier-frozen FleetControl snapshot from
-// which EVERY admission and degraded-mode decision is taken until the
-// next barrier. With one shard the fleet totals ARE that shard's live
-// counters, so it admits from them directly, exactly as a lone server
-// does. Nothing shard-count-dependent reaches the wire
-// (AcceptOptions::wire_id), key derivation, or a client-visible decision,
-// so the fleet transcript digest is byte-identical for shard counts
-// {1, 2, 4, 8} — the same invariant offload lanes and batch widths keep.
+// one shard, recomputes the barrier-frozen FleetControl snapshot — and
+// installs it on every live server — from which EVERY admission and
+// degraded-mode decision is taken until the next barrier. With one shard
+// the fleet totals ARE that shard's live counters, so it admits from them
+// directly, exactly as a lone server does; so does every shard of a tier
+// that has not crossed its first barrier. Nothing shard-count-dependent
+// reaches the wire (AcceptOptions::wire_id), key derivation, or a
+// client-visible decision, so the fleet transcript digest is
+// byte-identical for shard counts {1, 2, 4, 8} — the same invariant
+// offload lanes and batch widths keep.
 //
-// This tier is the only simulated serving world: LoadGenerator and
-// chaos::CampaignRunner both build on it, with one shard by default.
+// This tier is the one serving world on both bearers. LoadGenerator and
+// chaos::CampaignRunner build on it with tier-owned queues (one shard by
+// default) and drive it through run(). SocketServerFleet builds it on its
+// shards' reactor queues and never calls run(): each reactor thread drives
+// its own queue at wall-clock speed, no barrier is ever crossed, and every
+// shard admits from its own live counters.
 #pragma once
 
 #include <cstdint>
@@ -114,7 +121,11 @@ struct ShardBreakdown {
 
 class ShardedServer {
  public:
-  explicit ShardedServer(ShardedServerConfig config);
+  /// Builds one world per shard. With `queues` empty the tier owns one
+  /// EventQueue per shard; otherwise it builds on the given queues, one
+  /// per shard, which must outlive it.
+  explicit ShardedServer(ShardedServerConfig config,
+                         std::vector<net::EventQueue*> queues = {});
   virtual ~ShardedServer();
 
   ShardedServer(const ShardedServer&) = delete;
@@ -186,7 +197,11 @@ class ShardedServer {
 
  protected:
   struct Shard {
-    std::unique_ptr<net::EventQueue> queue;
+    net::EventQueue* queue = nullptr;
+    std::unique_ptr<net::EventQueue> owned_queue;  // null when borrowed
+    /// The queue's now() at tier construction: every ticket ring of this
+    /// slot, the original and any rebuilt one, is born at this instant.
+    net::SimTime ring_birth_us = 0;
     std::unique_ptr<crypto::HmacDrbg> fallback_rng;
     std::unique_ptr<BoundedSessionCache> cache;
     std::unique_ptr<SecureSessionServer> server;
@@ -223,9 +238,9 @@ class ShardedServer {
   virtual void configure_executor(net::ShardExecutor& exec) { (void)exec; }
 
   /// (Re)build shard `s`'s serving world on its existing queue: cache
-  /// partition, fallback rng and server, with the fleet snapshot
-  /// installed when there is more than one shard. Used at construction
-  /// and by the supervisor's warm rejoin.
+  /// partition, fallback rng and server. Used at construction and by the
+  /// supervisor's warm rejoin. The fleet snapshot is installed by the
+  /// next barrier's refresh_control, not here.
   void build_world(std::size_t s);
   void refresh_control(net::SimTime now, RunStats& rs);
   net::SimTime next_control_due() const;

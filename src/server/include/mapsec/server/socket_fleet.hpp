@@ -2,16 +2,19 @@
 //
 // The sim LoadGenerator proves the protocol stack's behaviour; these
 // fleets prove the same stack serves at wall-clock speed over real TCP.
-// SocketServerFleet runs one shard per thread — each with its own
-// MonotonicClock-driven reactor, buffer arena, session cache partition
-// and SecureSessionServer, listening on its own loopback port (the
-// accept-and-hand-off placement: a client's shard is shard_for(id), the
-// same FNV routing the sharded sim tier uses, realised by port choice
-// instead of a dispatcher). SocketClientFleet drives a block of
-// SessionClients from one reactor thread, with seed derivation identical
-// to the sim generator's — so a socket run's session outcomes (handshake
-// mix, transcript digests, echo checks, conservation books) are directly
-// comparable against the sim run for the same seed.
+// SocketServerFleet is a bearer host over a ShardedServer: the tier builds
+// the serving worlds (cache partitions, server DRBGs, SecureSessionServers)
+// exactly as it does for the sim, on the queues of this fleet's reactors,
+// and owns the fleet fold and the conservation books. The fleet keeps only
+// what is socket-specific: per shard a MonotonicClock-driven reactor,
+// buffer arena, loopback listener, accepted endpoints and one thread that
+// polls it. A client's shard is shard_for(id), the same FNV routing the
+// sim tier uses, realised by port choice instead of a dispatcher.
+// SocketClientFleet drives a fleet of SessionClients from one reactor
+// thread, with seed derivation identical to the sim generator's — so a
+// socket run's session outcomes (handshake mix, transcript digests, echo
+// checks, conservation books) are directly comparable against the sim run
+// for the same seed.
 //
 // Chaos hooks map the campaigns' bearer faults onto the real transport:
 // reset_open_sockets() hard-RSTs every live connection on a shard,
@@ -28,8 +31,20 @@
 #include "mapsec/server/load_gen.hpp"
 #include "mapsec/server/server.hpp"
 #include "mapsec/server/session_cache.hpp"
+#include "mapsec/server/sharded_server.hpp"
 
 namespace mapsec::server {
+
+/// Buffer-arena accounting of a socket fleet: `allocations == reserved`
+/// is the zero-steady-state-allocation witness, the record path never
+/// grew the pool beyond its pre-reserved working set.
+struct ArenaUsage {
+  std::uint64_t allocations = 0;
+  std::uint64_t acquires = 0;
+  std::uint64_t recycles = 0;
+  std::size_t peak_in_use = 0;
+  std::size_t reserved = 0;
+};
 
 struct SocketFleetConfig {
   std::size_t shards = 1;
@@ -37,6 +52,8 @@ struct SocketFleetConfig {
   /// Arena slabs pre-reserved per shard; the report's
   /// zero_steady_state_alloc gate asserts traffic never grew past it.
   std::size_t reserve_slabs_per_shard = 64;
+  /// Unread: server DRBGs derive from the template's ticket.key_seed, as
+  /// on the sim tier. Kept only while the benchmark harness still sets it.
   std::uint64_t seed = 0x10ADCAFE;
   /// Monotonic clock origin; large values exercise the saturating
   /// timeout arithmetic at the far end of the timeline.
@@ -45,31 +62,21 @@ struct SocketFleetConfig {
 
 class SocketServerFleet {
  public:
-  struct ShardReport {
-    ServerStats server;
-    BoundedSessionCache::Stats cache;
-    ArenaUsage arena;
-    net::SocketStats sockets;
-    std::uint64_t accepted = 0;
-    bool conserved = false;
-  };
-
   struct Report {
-    std::vector<ShardReport> shards;
-    ServerStats server;        // accumulated across shards
+    ServerStats server;        // the tier's fleet totals
     net::SocketStats sockets;  // accumulated across shards
     ArenaUsage arena;          // accumulated across shards
     std::uint64_t accepted = 0;
+    /// The tier's books: every shard conserves and the fleet totals equal
+    /// the per-shard sums.
     bool conserved = true;
     /// True iff no shard's arena allocated past its pre-reserve.
     bool zero_steady_state_alloc = true;
-    std::size_t cache_state_bytes = 0;
-    std::size_t ticket_state_bytes = 0;
   };
 
-  /// Builds every shard's world (cache partitioned like ShardedServer)
-  /// and binds the listeners on the constructing thread; start() hands
-  /// each world to its own thread.
+  /// Builds every shard's reactor, then the tier on their queues, and
+  /// binds the listeners on the constructing thread; start() hands each
+  /// shard to its own thread.
   SocketServerFleet(const SocketFleetConfig& config,
                     const ServerConfig& server_template,
                     const BoundedSessionCache::Config& cache_config);
@@ -116,6 +123,9 @@ class SocketServerFleet {
 
   SocketFleetConfig config_;
   std::vector<std::unique_ptr<Shard>> shards_;
+  /// Declared after shards_: the servers die before the endpoints whose
+  /// channel halves their links hold, and before the reactor queues.
+  std::unique_ptr<ShardedServer> tier_;
   std::atomic<bool> stop_{false};
   bool started_ = false;
   bool stopped_ = false;
@@ -124,11 +134,6 @@ class SocketServerFleet {
 
 struct SocketLoadConfig {
   std::size_t num_clients = 50;
-  /// Global id of this fleet's first client. A multi-process run gives
-  /// each process a disjoint [first, first+num) block; seeds and shard
-  /// routing use the global id, so the union of the processes' clients
-  /// is exactly the sim generator's fleet.
-  std::size_t first_client_id = 0;
   net::SimTime mean_interarrival_us = 1'000;
   bool poisson_arrivals = true;
   std::uint64_t seed = 0x10ADCAFE;
@@ -140,18 +145,9 @@ struct SocketLoadConfig {
   net::SimTime clock_origin_us = 0;
 };
 
-struct SocketClientReport {
-  std::size_t sessions_attempted = 0;
-  std::size_t sessions_completed = 0;
-  std::size_t sessions_failed = 0;
-  std::size_t echo_mismatches = 0;
-  std::size_t connection_attempts = 0;
+struct SocketClientReport : SessionTally {
   std::uint64_t bearer_errors = 0;
-  /// Per-client transcript digests in client order — the parent of a
-  /// multi-process run concatenates the blocks (process order = id
-  /// order) and folds them into the global fleet digest.
-  std::vector<crypto::Bytes> client_digests;
-  /// fold_fleet_digest over this fleet's own clients.
+  /// fold_fleet_digest over the fleet's clients, in client order.
   crypto::Bytes fleet_digest;
   ArenaUsage arena;
   net::SocketStats sockets;
@@ -163,8 +159,8 @@ class SocketClientFleet {
  public:
   /// `server_template` supplies the engine profile the client-side
   /// record engine mirrors (as in the sim generator). `ports` are the
-  /// server fleet's listeners; client `gid` connects to
-  /// ports[shard_for(gid, ports.size())].
+  /// server fleet's listeners; client `i` connects to
+  /// ports[shard_for(i, ports.size())].
   SocketClientFleet(const SocketLoadConfig& load,
                     const ClientConfig& client_template,
                     const ServerConfig& server_template,

@@ -29,6 +29,16 @@ crypto::Bytes fold_fleet_digest(
   return crypto::Sha256::hash(digest_stream);
 }
 
+void SessionTally::add(const SessionClient& client) {
+  for (const SessionRecord& record : client.sessions()) {
+    ++sessions_attempted;
+    connection_attempts += static_cast<std::size_t>(record.attempts);
+    if (record.completed) ++sessions_completed;
+    if (record.failed) ++sessions_failed;
+    if (!record.echo_ok) ++echo_mismatches;
+  }
+}
+
 platform::ServedLoad served_load(const ServerStats& stats,
                                  std::size_t sessions_completed,
                                  double sim_duration_s) {
@@ -146,13 +156,7 @@ LoadReport LoadGenerator::run() {
   std::vector<crypto::ConstBytes> lanes;
   lanes.reserve(clients.size());
   for (const auto& client : clients) {
-    for (const SessionRecord& record : client->sessions()) {
-      ++report.sessions_attempted;
-      report.connection_attempts += static_cast<std::size_t>(record.attempts);
-      if (record.completed) ++report.sessions_completed;
-      if (record.failed) ++report.sessions_failed;
-      if (!record.echo_ok) ++report.echo_mismatches;
-    }
+    report.add(*client);
     lanes.push_back(client->transcript_digest());
   }
   report.fleet_digest = fold_fleet_digest(lanes);

@@ -103,15 +103,25 @@ std::size_t shard_for_live(std::uint32_t conn_key, std::size_t shards,
   return best == shards ? shard_for(conn_key, shards) : best;
 }
 
-ShardedServer::ShardedServer(ShardedServerConfig config)
+ShardedServer::ShardedServer(ShardedServerConfig config,
+                             std::vector<net::EventQueue*> queues)
     : config_(std::move(config)) {
   if (config_.shards == 0) config_.shards = 1;
   if (config_.slice_us == 0) config_.slice_us = 1'000;
+  if (!queues.empty() && queues.size() != config_.shards)
+    throw std::invalid_argument("ShardedServer: one queue per shard");
 
   shards_.reserve(config_.shards);
   for (std::size_t s = 0; s < config_.shards; ++s) {
-    shards_.push_back(std::make_unique<Shard>());
-    shards_.back()->queue = std::make_unique<net::EventQueue>();
+    auto shard = std::make_unique<Shard>();
+    if (queues.empty()) {
+      shard->owned_queue = std::make_unique<net::EventQueue>();
+      shard->queue = shard->owned_queue.get();
+    } else {
+      shard->queue = queues[s];
+    }
+    shard->ring_birth_us = shard->queue->now();
+    shards_.push_back(std::move(shard));
     build_world(s);
   }
 }
@@ -131,14 +141,12 @@ void ShardedServer::build_world(std::size_t s) {
   cfg.handshake.rng = sh.fallback_rng.get();
   if (config_.server.handshake.rng != nullptr && config_.shards == 1)
     cfg.handshake.rng = config_.server.handshake.rng;
-  // Every ring is born with the tier at t=0, so a world rebuilt later is
-  // a replica of the original (same epochs, same sealing keys).
+  // Every ring is born with the tier, so a world rebuilt later is a
+  // replica of the original (same epochs, same sealing keys).
   if (cfg.ticket.ring_birth_us == ServerConfig::TicketConfig::kRingBirthNow)
-    cfg.ticket.ring_birth_us = 0;
+    cfg.ticket.ring_birth_us = sh.ring_birth_us;
   sh.server = std::make_unique<SecureSessionServer>(*sh.queue, std::move(cfg),
                                                     sh.cache.get());
-  // One shard admits from its own live counters — they are the fleet's.
-  if (config_.shards > 1) sh.server->set_fleet_control(&control_);
 }
 
 ShardedServer::~ShardedServer() {
@@ -218,6 +226,12 @@ void ShardedServer::refresh_control(net::SimTime now, RunStats& rs) {
   }
   control_.handshakes_in_flight = in_flight;
   control_.open_connections = open;
+  // One shard admits from its own live counters — they are the fleet's.
+  // Installed here rather than at build time, so a tier that never
+  // crosses a barrier is never ruled by an all-zero snapshot.
+  if (shards_.size() > 1)
+    for (auto& shard : shards_)
+      if (shard->alive) shard->server->set_fleet_control(&control_);
   rs.peak_open_connections = std::max(rs.peak_open_connections, open);
 
   // 3. Fleet-level degraded transitions (the per-shard watermark logic is
@@ -245,7 +259,7 @@ ShardedServer::RunStats ShardedServer::run(std::size_t max_events) {
   RunStats rs;
   std::vector<net::EventQueue*> queues;
   queues.reserve(shards_.size());
-  for (auto& shard : shards_) queues.push_back(shard->queue.get());
+  for (auto& shard : shards_) queues.push_back(shard->queue);
   net::ShardExecutor exec(std::move(queues));
   configure_executor(exec);
 

@@ -35,20 +35,15 @@ ArenaUsage arena_usage(const net::BufferArena& arena, std::size_t reserved) {
 // ---- SocketServerFleet ----------------------------------------------------
 
 struct SocketServerFleet::Shard {
-  // Declaration order is teardown order in reverse: the server (whose
-  // connection links reference endpoint channel halves) must die before
-  // the endpoints, the endpoints before the arena and reactor they
-  // borrow from.
-  std::size_t index = 0;
+  // Declaration order is teardown order in reverse: the endpoints die
+  // before the arena and reactor they borrow from. The serving world on
+  // this shard's queue lives in the fleet's tier, which dies first.
   net::MonotonicClock clock;
   net::Reactor reactor;
   net::BufferArena arena;
-  std::unique_ptr<crypto::HmacDrbg> rng;
-  std::unique_ptr<BoundedSessionCache> cache;
   std::unique_ptr<net::SocketListener> listener;
   std::vector<std::unique_ptr<net::SocketEndpoint>> endpoints;
   net::SocketStats closed_stats;  // accumulated from swept endpoints
-  std::unique_ptr<SecureSessionServer> server;
   std::thread thread;
 
   explicit Shard(net::SimTime origin_us)
@@ -77,34 +72,27 @@ SocketServerFleet::SocketServerFleet(
     : config_(config) {
   if (config_.shards == 0) config_.shards = 1;
 
-  // Partition the cache budget exactly like the sharded sim tier.
-  BoundedSessionCache::Config part = cache_config;
-  if (part.capacity > 0)
-    part.capacity = (part.capacity + config_.shards - 1) / config_.shards;
-
-  shards_.reserve(config_.shards);
+  std::vector<net::EventQueue*> queues;
   for (std::size_t s = 0; s < config_.shards; ++s) {
-    auto shard = std::make_unique<Shard>(config_.clock_origin_us);
-    shard->index = s;
-    shard->arena.reserve(config_.reserve_slabs_per_shard);
-    shard->rng = std::make_unique<crypto::HmacDrbg>(
-        fleet_server_seed(config_.seed) + s);
-    shard->cache =
-        std::make_unique<BoundedSessionCache>(shard->reactor.queue(), part);
-    ServerConfig cfg = server_template;
-    cfg.handshake.rng = shard->rng.get();
-    shard->server = std::make_unique<SecureSessionServer>(
-        shard->reactor.queue(), std::move(cfg), shard->cache.get());
-    shard->listener = std::make_unique<net::SocketListener>(
-        shard->reactor, shard->arena, config_.socket, /*port=*/0);
-    Shard* sh = shard.get();
-    shard->listener->set_on_accept(
-        [sh](std::unique_ptr<net::SocketEndpoint> ep) {
-          net::SocketEndpoint* raw = ep.get();
-          sh->server->accept(raw->tx(), raw->rx());
-          sh->endpoints.push_back(std::move(ep));
+    shards_.push_back(std::make_unique<Shard>(config_.clock_origin_us));
+    shards_.back()->arena.reserve(config_.reserve_slabs_per_shard);
+    queues.push_back(&shards_.back()->reactor.queue());
+  }
+  ShardedServerConfig tier;
+  tier.shards = config_.shards;
+  tier.server = server_template;
+  tier.cache = cache_config;
+  tier_ = std::make_unique<ShardedServer>(std::move(tier), std::move(queues));
+
+  for (std::size_t s = 0; s < config_.shards; ++s) {
+    Shard& sh = *shards_[s];
+    sh.listener = std::make_unique<net::SocketListener>(
+        sh.reactor, sh.arena, config_.socket, /*port=*/0);
+    sh.listener->set_on_accept(
+        [this, &sh, s](std::unique_ptr<net::SocketEndpoint> ep) {
+          tier_->server(s).accept(ep->tx(), ep->rx());
+          sh.endpoints.push_back(std::move(ep));
         });
-    shards_.push_back(std::move(shard));
   }
 }
 
@@ -167,27 +155,17 @@ SocketServerFleet::Report SocketServerFleet::stop() {
   }
 
   Report report;
+  report.server = tier_->fleet_stats();
+  report.conserved = tier_->conserved();
   for (auto& shard : shards_) {
-    ShardReport sr;
-    sr.server = shard->server->stats();
-    sr.cache = shard->cache->stats();
-    sr.arena = arena_usage(shard->arena, config_.reserve_slabs_per_shard);
-    sr.sockets = shard->closed_stats;
-    for (const auto& ep : shard->endpoints) sr.sockets += ep->stats();
-    sr.accepted = shard->listener->accepted();
-    sr.conserved = shard->server->stats_conserved();
-
-    accumulate_stats(report.server, sr.server);
-    report.sockets += sr.sockets;
-    accumulate_arena(report.arena, sr.arena);
-    report.accepted += sr.accepted;
-    report.conserved = report.conserved && sr.conserved;
+    const ArenaUsage arena =
+        arena_usage(shard->arena, config_.reserve_slabs_per_shard);
+    report.sockets += shard->closed_stats;
+    for (const auto& ep : shard->endpoints) report.sockets += ep->stats();
+    accumulate_arena(report.arena, arena);
+    report.accepted += shard->listener->accepted();
     report.zero_steady_state_alloc =
-        report.zero_steady_state_alloc &&
-        sr.arena.allocations == sr.arena.reserved;
-    report.cache_state_bytes += shard->cache->resumption_state_bytes();
-    report.ticket_state_bytes += shard->server->ticket_state_bytes();
-    report.shards.push_back(std::move(sr));
+        report.zero_steady_state_alloc && arena.allocations == arena.reserved;
   }
   final_ = report;
   return final_;
@@ -236,8 +214,8 @@ std::uint64_t SocketServerFleet::accepted_on(std::size_t shard) {
 
 SocketServerFleet::ShardState SocketServerFleet::state_of(std::size_t shard) {
   Shard& sh = *shards_[shard];
-  return on_shard(sh, [&sh] {
-    const SecureSessionServer& server = *sh.server;
+  return on_shard(sh, [this, &sh, shard] {
+    const SecureSessionServer& server = tier_->server(shard);
     const ServerStats& st = server.stats();
     ShardState state;
     state.live_connections = server.live_connections();
@@ -287,37 +265,26 @@ SocketClientReport SocketClientFleet::run() {
 
   SocketClientReport report;
 
-  // Arrival schedule: the sim generator draws one inter-arrival delta
-  // per client in global id order; replay the same stream and keep our
-  // block, so a multi-process run reproduces the sim fleet's arrivals.
+  // Arrival schedule: the same inter-arrival stream the sim generator
+  // draws, one delta per client in id order.
   crypto::HmacDrbg arrival_rng(fleet_arrival_seed(load_.seed));
-  std::vector<net::SimTime> arrivals(n);
   net::SimTime arrival = 0;
-  for (std::size_t g = 0; g < load_.first_client_id + n; ++g) {
-    if (g >= load_.first_client_id) arrivals[g - load_.first_client_id] = arrival;
-    arrival += load_.poisson_arrivals
-                   ? load_exponential_us(
-                         arrival_rng,
-                         static_cast<double>(load_.mean_interarrival_us))
-                   : load_.mean_interarrival_us;
-  }
 
   std::size_t finished = 0;
   const net::SimTime start_us = reactor.queue().now();
   for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t gid = load_.first_client_id + i;
     auto client = std::make_unique<SessionClient>(
-        reactor.queue(), client_, static_cast<std::uint32_t>(gid), engine,
-        fleet_client_seed(load_.seed, gid));
+        reactor.queue(), client_, static_cast<std::uint32_t>(i), engine,
+        fleet_client_seed(load_.seed, i));
     client->set_on_finished([&finished](SessionClient&) { ++finished; });
     client->set_connect([this, &reactor, &arena, &slots, &graveyard, &report,
-                         i, gid](SessionClient&) {
+                         i](SessionClient&) {
       if (slots[i]) {
         slots[i]->close_quiet();
         graveyard.push_back(std::move(slots[i]));
       }
       const std::size_t shard =
-          shard_for(static_cast<std::uint32_t>(gid), ports_.size());
+          shard_for(static_cast<std::uint32_t>(i), ports_.size());
       auto ep = net::connect_endpoint(reactor, arena, load_.socket,
                                       ports_[shard]);
       ep->set_on_error(
@@ -327,8 +294,13 @@ SocketClientReport SocketClientFleet::run() {
       slots[i] = std::move(ep);
       return link;
     });
-    reactor.queue().schedule_at(net::sat_add_time(start_us, arrivals[i]),
+    reactor.queue().schedule_at(net::sat_add_time(start_us, arrival),
                                 [c = client.get()] { c->start(); });
+    arrival += load_.poisson_arrivals
+                   ? load_exponential_us(
+                         arrival_rng,
+                         static_cast<double>(load_.mean_interarrival_us))
+                   : load_.mean_interarrival_us;
     clients.push_back(std::move(client));
   }
 
@@ -341,14 +313,7 @@ SocketClientReport SocketClientFleet::run() {
   std::vector<crypto::ConstBytes> lanes;
   lanes.reserve(clients.size());
   for (const auto& client : clients) {
-    for (const SessionRecord& record : client->sessions()) {
-      ++report.sessions_attempted;
-      report.connection_attempts += static_cast<std::size_t>(record.attempts);
-      if (record.completed) ++report.sessions_completed;
-      if (record.failed) ++report.sessions_failed;
-      if (!record.echo_ok) ++report.echo_mismatches;
-    }
-    report.client_digests.push_back(client->transcript_digest());
+    report.add(*client);
     lanes.push_back(client->transcript_digest());
   }
   report.fleet_digest = fold_fleet_digest(lanes);

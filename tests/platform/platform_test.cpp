@@ -495,13 +495,46 @@ constexpr double kPinSliceUs = 1'000;
 constexpr double kPinReconnects = 150;
 constexpr double kPinBlackoutS = 0.25;
 
-TEST(ServingGapPinTest, ResumingBulkLoad) {
+ServedLoad resuming_bulk_load() {
   ServedLoad load;
   load.full_handshakes_per_s = 20;
   load.resumed_handshakes_per_s = 60;
   load.bulk_mbps = 8;
   load.avg_session_kb = 48;
   load.sessions_per_s = 80;
+  return load;
+}
+
+ServedLoad no_sessions_load() {
+  ServedLoad load;
+  load.full_handshakes_per_s = 12;
+  load.resumed_handshakes_per_s = 30;
+  load.avg_session_kb = 16;  // bulk_mbps and sessions_per_s stay 0
+  return load;
+}
+
+// Offloading the pk op moves it to the accelerator's efficiency; it must
+// never bill more than pricing the whole op on the host.
+TEST(ServingGapPinTest, OffloadNeverRaisesSessionEnergy) {
+  const auto model = WorkloadModel::paper_calibrated();
+  const Processor proc = Processor::strongarm_sa1100();
+  for (const ServedLoad& load : {resuming_bulk_load(), no_sessions_load()}) {
+    const double plain = serving_gap(model, proc, load).session_mj;
+    for (std::size_t width : {std::size_t{1}, kPinBatchWidth}) {
+      const ServingGapReport off = serving_gap(
+          model, proc, load,
+          {.offload = {{.lanes = kPinLanes,
+                        .lane_op_s = kPinLaneOpS,
+                        .batch_width = width,
+                        .batch_marginal = kPinBatchMarginal}}});
+      EXPECT_LE(off.session_mj, plain)
+          << "sessions/s " << load.sessions_per_s << ", width " << width;
+    }
+  }
+}
+
+TEST(ServingGapPinTest, ResumingBulkLoad) {
+  const ServedLoad load = resuming_bulk_load();
   const auto model = WorkloadModel::paper_calibrated();
   const Processor proc = Processor::strongarm_sa1100();
   const ServingGapReport plain = serving_gap(model, proc, load);
@@ -562,18 +595,16 @@ TEST(ServingGapPinTest, ResumingBulkLoad) {
       PIN(off.min_lanes, 3.0),
   });
   expect_pinned({
-      PIN(off.handshake_mips, 0.0),
-      PIN(off.bulk_mips, 521.03999999999996),
-      PIN(off.required_mips, 521.03999999999996),
-      PIN(off.available_mips, 235.0),
-      PIN(off.gap_ratio, 2.217191489361702),
-      PIN(off.session_mj, 45.917268735999997),
-      PIN(off.sessions_per_charge, 566235.76958564855),
-      PIN(off.pk_ops_per_s, 20.0),
-      PIN(off.lane_op_s, 0.13),
-      PIN(off.lanes, 2.0),
-      PIN(off.lane_utilisation, 1.3),
-      PIN(off.min_lanes, 3.0),
+      PIN(bat.handshake_mips, 0.0),
+      PIN(bat.bulk_mips, 521.03999999999996),
+      PIN(bat.required_mips, 521.03999999999996),
+      PIN(bat.available_mips, 235.0),
+      PIN(bat.gap_ratio, 2.217191489361702),
+      PIN(bat.session_mj, 45.917268735999997),
+      PIN(bat.sessions_per_charge, 566235.76958564855),
+      PIN(bat.pk_ops_per_s, 20.0),
+      PIN(bat.lane_op_s, 0.13),
+      PIN(bat.lanes, 2.0),
       PIN(bat.batch_width, 4.0),
       PIN(bat.batch_marginal, 0.29999999999999999),
       PIN(bat.effective_op_s, 0.061749999999999999),
@@ -635,10 +666,7 @@ TEST(ServingGapPinTest, ResumingBulkLoad) {
 }
 
 TEST(ServingGapPinTest, NoSessionsNoBulkFallbacks) {
-  ServedLoad load;
-  load.full_handshakes_per_s = 12;
-  load.resumed_handshakes_per_s = 30;
-  load.avg_session_kb = 16;  // bulk_mbps and sessions_per_s stay 0
+  const ServedLoad load = no_sessions_load();
   const auto model = WorkloadModel::paper_calibrated();
   const Processor proc = Processor::strongarm_sa1100();
   const ServingGapReport plain = serving_gap(model, proc, load);
@@ -690,8 +718,8 @@ TEST(ServingGapPinTest, NoSessionsNoBulkFallbacks) {
       PIN(off.required_mips, 0.0),
       PIN(off.available_mips, 235.0),
       PIN(off.gap_ratio, 0.0),
-      PIN(off.session_mj, 119.232422912),
-      PIN(off.sessions_per_charge, 218061.49170674331),
+      PIN(off.session_mj, 24.032422911999998),
+      PIN(off.sessions_per_charge, 1081871.7736120373),
       PIN(off.pk_ops_per_s, 12.0),
       PIN(off.lane_op_s, 0.13),
       PIN(off.lanes, 2.0),
@@ -699,18 +727,16 @@ TEST(ServingGapPinTest, NoSessionsNoBulkFallbacks) {
       PIN(off.min_lanes, 2.0),
   });
   expect_pinned({
-      PIN(off.handshake_mips, 0.0),
-      PIN(off.bulk_mips, 0.0),
-      PIN(off.required_mips, 0.0),
-      PIN(off.available_mips, 235.0),
-      PIN(off.gap_ratio, 0.0),
-      PIN(off.session_mj, 119.232422912),
-      PIN(off.sessions_per_charge, 218061.49170674331),
-      PIN(off.pk_ops_per_s, 12.0),
-      PIN(off.lane_op_s, 0.13),
-      PIN(off.lanes, 2.0),
-      PIN(off.lane_utilisation, 0.78000000000000003),
-      PIN(off.min_lanes, 2.0),
+      PIN(bat.handshake_mips, 0.0),
+      PIN(bat.bulk_mips, 0.0),
+      PIN(bat.required_mips, 0.0),
+      PIN(bat.available_mips, 235.0),
+      PIN(bat.gap_ratio, 0.0),
+      PIN(bat.session_mj, 24.032422911999998),
+      PIN(bat.sessions_per_charge, 1081871.7736120373),
+      PIN(bat.pk_ops_per_s, 12.0),
+      PIN(bat.lane_op_s, 0.13),
+      PIN(bat.lanes, 2.0),
       PIN(bat.batch_width, 4.0),
       PIN(bat.batch_marginal, 0.29999999999999999),
       PIN(bat.effective_op_s, 0.061749999999999999),

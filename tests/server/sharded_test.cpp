@@ -7,7 +7,9 @@
 // rises with the shard count while the transcript stays fixed.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
+#include <vector>
 
 #include "mapsec/chaos/campaign.hpp"
 #include "mapsec/crypto/rng.hpp"
@@ -258,6 +260,27 @@ TEST_F(ShardedServerTest, AdmissionWatermarksAreFleetWide) {
   EXPECT_GT(report.sessions_completed, 0u);
 }
 
+// A tier that has crossed no barrier yet (the socket host never crosses
+// one) admits from each shard's live counters, never from the all-zero
+// snapshot the first barrier would replace.
+TEST_F(ShardedServerTest, AdmitsFromLiveCountersBeforeFirstBarrier) {
+  ServerConfig server = server_config();
+  server.max_open_connections = 1;
+  ShardedServerConfig scfg;
+  scfg.shards = 2;
+  scfg.server = server;
+  std::vector<std::unique_ptr<net::DuplexChannel>> channels;
+  ShardedServer tier(scfg);
+  for (std::uint64_t seed : {1u, 2u}) {
+    channels.push_back(std::make_unique<net::DuplexChannel>(
+        tier.queue(0), net::ChannelConfig{}, net::ChannelConfig{}, seed));
+    tier.server(0).accept(channels.back()->b_to_a(),
+                          channels.back()->a_to_b());
+  }
+  EXPECT_EQ(tier.server(0).stats().connections_accepted, 2u);
+  EXPECT_EQ(tier.server(0).stats().refused_connections, 1u);
+}
+
 // ------------------------------------------------- modeled-core scaling
 
 TEST_F(ShardedServerTest, CoreModelScalesAggregateRateWithShards) {
@@ -336,9 +359,34 @@ TEST_F(ShardedServerTest, ShardedCampaignRejectsGlobalFaults) {
   cfg.server = server_config();
   cfg.client = client_config();
   cfg.shards = 2;
-  cfg.faults.push_back(chaos::DispatchFailure{.at_us = 1'000});
+  cfg.faults.push_back(chaos::RngExhaustion{.at_us = 1'000});
   chaos::CampaignRunner runner(cfg);
   EXPECT_THROW(runner.run(), std::invalid_argument);
+}
+
+// DispatchFailure flips the process-global backend at an epoch barrier,
+// so it rides campaigns at any shard count and moves no outcome.
+TEST_F(ShardedServerTest, DispatchFailureCampaignDigestIdenticalAcrossShards) {
+  crypto::Bytes digest;
+  for (std::size_t shards : {1u, 2u}) {
+    chaos::CampaignConfig cfg;
+    cfg.honest_clients = 8;
+    cfg.server = server_config();
+    cfg.client = client_config();
+    cfg.shards = shards;
+    cfg.faults.push_back(
+        chaos::DispatchFailure{.at_us = 4'000, .duration_us = 30'000});
+    const chaos::CampaignReport report = chaos::CampaignRunner(cfg).run();
+    EXPECT_TRUE(report.conserved) << shards << " shards";
+    EXPECT_TRUE(report.invariants_ok())
+        << shards << " shards: " << report.invariant_failures;
+    EXPECT_EQ(report.sessions_completed, report.sessions_attempted);
+    EXPECT_GT(report.sim_duration_s, 0.034) << "both flips land mid-run";
+    if (shards == 1)
+      digest = report.fleet_digest;
+    else
+      EXPECT_EQ(report.fleet_digest, digest) << shards << " shards";
+  }
 }
 
 // ------------------------------------------------ ticket-rotation control

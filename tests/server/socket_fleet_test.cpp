@@ -113,60 +113,63 @@ TEST_F(SocketFleetTest, SocketOutcomesMatchSimRunForSameSeed) {
   const LoadReport sim = gen.run();
   ASSERT_EQ(sim.sessions_completed, kClients * 2);
 
-  // Wall-clock run: two shard threads over loopback TCP, clients routed
-  // by shard_for(gid) so resumption lands on the shard that cached it.
-  // The huge clock origin runs the whole fleet at the far end of the
-  // monotonic timeline, proving the timeout arithmetic can't wrap.
-  SocketFleetConfig fleet_cfg;
-  fleet_cfg.shards = 2;
-  fleet_cfg.seed = kSeed;
-  fleet_cfg.reserve_slabs_per_shard = 128;
-  fleet_cfg.clock_origin_us = net::SimTime{1} << 60;
-  SocketServerFleet fleet(fleet_cfg, server_config(), cache);
-  ASSERT_TRUE(fleet.ok());
-  fleet.start();
+  // Wall-clock runs: one to three shard threads over loopback TCP,
+  // clients routed by shard_for(gid) so resumption lands on the shard
+  // that cached it. The huge clock origin runs the whole fleet at the far
+  // end of the monotonic timeline, proving the timeout arithmetic can't
+  // wrap.
+  for (std::size_t shards : {1u, 2u, 3u}) {
+    SCOPED_TRACE(std::to_string(shards) + " shards");
+    SocketFleetConfig fleet_cfg;
+    fleet_cfg.shards = shards;
+    fleet_cfg.reserve_slabs_per_shard = 128;
+    fleet_cfg.clock_origin_us = net::SimTime{1} << 60;
+    SocketServerFleet fleet(fleet_cfg, server_config(), cache);
+    ASSERT_TRUE(fleet.ok());
+    fleet.start();
 
-  SocketLoadConfig socket_load;
-  socket_load.num_clients = kClients;
-  socket_load.seed = kSeed;
-  socket_load.reserve_slabs = 128;
-  socket_load.clock_origin_us = net::SimTime{1} << 60;
-  SocketClientFleet clients(socket_load, client, server_config(),
-                            fleet.ports());
-  const SocketClientReport socket = clients.run();
-  const SocketServerFleet::Report servers = fleet.stop();
+    SocketLoadConfig socket_load;
+    socket_load.num_clients = kClients;
+    socket_load.seed = kSeed;
+    socket_load.reserve_slabs = 128;
+    socket_load.clock_origin_us = net::SimTime{1} << 60;
+    SocketClientFleet clients(socket_load, client, server_config(),
+                              fleet.ports());
+    const SocketClientReport socket = clients.run();
+    const SocketServerFleet::Report servers = fleet.stop();
 
-  ASSERT_TRUE(socket.all_finished) << "fleet blew the wall budget";
+    ASSERT_TRUE(socket.all_finished) << "fleet blew the wall budget";
 
-  // ---- outcome equality ------------------------------------------------
-  EXPECT_EQ(socket.sessions_attempted, sim.sessions_attempted);
-  EXPECT_EQ(socket.sessions_completed, sim.sessions_completed);
-  EXPECT_EQ(socket.sessions_failed, sim.sessions_failed);
-  EXPECT_EQ(socket.echo_mismatches, 0u);
-  EXPECT_EQ(socket.connection_attempts, sim.connection_attempts);
-  EXPECT_EQ(socket.fleet_digest, sim.fleet_digest)
-      << "transcripts diverged between bearers";
+    // ---- outcome equality ----------------------------------------------
+    EXPECT_EQ(socket.sessions_attempted, sim.sessions_attempted);
+    EXPECT_EQ(socket.sessions_completed, sim.sessions_completed);
+    EXPECT_EQ(socket.sessions_failed, sim.sessions_failed);
+    EXPECT_EQ(socket.echo_mismatches, 0u);
+    EXPECT_EQ(socket.connection_attempts, sim.connection_attempts);
+    EXPECT_EQ(socket.fleet_digest, sim.fleet_digest)
+        << "transcripts diverged between bearers";
 
-  EXPECT_EQ(servers.server.handshakes_completed,
-            sim.server.handshakes_completed);
-  EXPECT_EQ(servers.server.full_handshakes, sim.server.full_handshakes);
-  EXPECT_EQ(servers.server.resumed_handshakes,
-            sim.server.resumed_handshakes);
-  EXPECT_EQ(servers.server.bytes_opened, sim.server.bytes_opened);
-  EXPECT_EQ(servers.server.bytes_sealed, sim.server.bytes_sealed);
+    EXPECT_EQ(servers.server.handshakes_completed,
+              sim.server.handshakes_completed);
+    EXPECT_EQ(servers.server.full_handshakes, sim.server.full_handshakes);
+    EXPECT_EQ(servers.server.resumed_handshakes,
+              sim.server.resumed_handshakes);
+    EXPECT_EQ(servers.server.bytes_opened, sim.server.bytes_opened);
+    EXPECT_EQ(servers.server.bytes_sealed, sim.server.bytes_sealed);
 
-  // ---- bearer-side books -----------------------------------------------
-  EXPECT_TRUE(servers.conserved);
-  EXPECT_EQ(servers.accepted, socket.connection_attempts);
-  EXPECT_TRUE(servers.zero_steady_state_alloc)
-      << "server record path allocated past its pre-reserve";
-  EXPECT_EQ(socket.arena.allocations, socket.arena.reserved)
-      << "client record path allocated past its pre-reserve";
-  EXPECT_EQ(socket.bearer_errors, 0u);
-  EXPECT_GT(socket.sockets.frames_sent, 0u);
-  // Both halves of the conversation agree on the wire volume.
-  EXPECT_EQ(socket.sockets.bytes_sent, servers.sockets.bytes_received);
-  EXPECT_EQ(socket.sockets.bytes_received, servers.sockets.bytes_sent);
+    // ---- bearer-side books ---------------------------------------------
+    EXPECT_TRUE(servers.conserved);
+    EXPECT_EQ(servers.accepted, socket.connection_attempts);
+    EXPECT_TRUE(servers.zero_steady_state_alloc)
+        << "server record path allocated past its pre-reserve";
+    EXPECT_EQ(socket.arena.allocations, socket.arena.reserved)
+        << "client record path allocated past its pre-reserve";
+    EXPECT_EQ(socket.bearer_errors, 0u);
+    EXPECT_GT(socket.sockets.frames_sent, 0u);
+    // Both halves of the conversation agree on the wire volume.
+    EXPECT_EQ(socket.sockets.bytes_sent, servers.sockets.bytes_received);
+    EXPECT_EQ(socket.sockets.bytes_received, servers.sockets.bytes_sent);
+  }
 }
 
 // Hard-RST chaos: every live connection on the shard dies, the server
